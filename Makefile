@@ -60,6 +60,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzBaselineVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/baseline
 	$(GO) test -fuzz=FuzzFPFDecode          -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/fpf
 	$(GO) test -fuzz=FuzzLWCDecode          -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lwc
+	$(GO) test -fuzz=FuzzLowWeightCodebook  -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lowweight
+	$(GO) test -fuzz=FuzzTraceReader        -fuzztime=$(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzServeEncodeRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 
 ## bench: repository benchmarks (reduced-scale experiment sweeps)

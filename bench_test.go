@@ -320,6 +320,19 @@ func BenchmarkSendDESCAdaptiveBytes(b *testing.B) {
 func BenchmarkSendDZCScalar(b *testing.B)       { benchmarkSchemeGeom(b, "dzc", 64, 4, 16) }
 func BenchmarkSendBusInvertScalar(b *testing.B) { benchmarkSchemeGeom(b, "bic", 64, 4, 16) }
 
+// BenchmarkSendSegmented sweeps the segmented prior-work codecs across
+// the Fig 15 segment widths on 64 wires, so every geometry the figure
+// and the scheme zoo simulate has its own ns/op and allocs/op record.
+func BenchmarkSendSegmented(b *testing.B) {
+	for _, scheme := range []string{"fpf", "lwc", "bic", "bic-zs", "bic-ezs"} {
+		for _, seg := range []int{64, 32, 16, 8, 4} {
+			b.Run(scheme+"/"+strconv.Itoa(seg), func(b *testing.B) {
+				benchmarkSchemeGeom(b, scheme, 64, 4, seg)
+			})
+		}
+	}
+}
+
 // benchmarkRecv measures the receiver-side block reassembly (PackChunks +
 // StoreWords after a full block of chunks has arrived).
 func benchmarkRecv(b *testing.B, chunkBits int) {

@@ -31,6 +31,12 @@ const (
 	InvertEncodedZeroSkip
 )
 
+// maxWordModeSegs is the widest mode vector held as one integer: 3^40 <
+// 2^64, so up to 40 segments the base-3 mode field value fits a uint64
+// and its binary wires are that word's bits. Wider links fall back to
+// multi-precision long division over a []bool field.
+const maxWordModeSegs = 40
+
 // String returns the scheme name used in the registry.
 func (m InvertMode) String() string {
 	switch m {
@@ -60,11 +66,16 @@ type BusInvert struct {
 	scratch []uint64 // beat being encoded
 	invert  []bool   // per-segment invert wire levels
 	zero    []bool   // per-segment zero-indicator levels
-	modeBus []bool   // dense mode field levels
+
+	// The dense mode field (ezs): modeWires wires whose levels are the
+	// bits of modeWord when segs <= maxWordModeSegs, else of modeBus.
+	modeWires int
+	modeWord  uint64
+	modeBus   []bool
 
 	modes   []int // scratch: per-segment mode of the current beat
 	rxModes []int // scratch: modes re-decoded from the mode field (ezs)
-	digits  []int // scratch: base-3 digit vector during field encoding
+	digits  []int // scratch: base-3 digit vector during long division
 	decoded []byte
 }
 
@@ -103,9 +114,12 @@ func NewBusInvert(blockBits, dataWires, segBits int, mode InvertMode) (*BusInver
 		l.invert = make([]bool, segs)
 		l.zero = make([]bool, segs)
 	case InvertEncodedZeroSkip:
-		l.modeBus = make([]bool, encodedModeWires(segs))
+		l.modeWires = encodedModeWires(segs)
 		l.rxModes = make([]int, segs)
-		l.digits = make([]int, segs)
+		if segs > maxWordModeSegs {
+			l.modeBus = make([]bool, l.modeWires)
+			l.digits = make([]int, segs)
+		}
 	default:
 		return nil, fmt.Errorf("baseline: unknown invert mode %d", int(mode))
 	}
@@ -132,7 +146,7 @@ func (l *BusInvert) ExtraWires() int {
 	case InvertZeroSkip:
 		return 2 * l.segs
 	default:
-		return len(l.modeBus)
+		return l.modeWires
 	}
 }
 
@@ -391,8 +405,21 @@ func (l *BusInvert) chooseMode(s int, dataFlips, ctrlFlips *uint64) int {
 }
 
 // driveModeField binary-encodes the base-3 mode vector onto the mode wires
-// and returns the flips.
+// and returns the flips. Up to maxWordModeSegs segments the field value
+// V = sum(mode_i * 3^i) is one integer, so the flips are the popcount of
+// its change.
+//
+//desclint:hotpath runs once per beat on bic-ezs
 func (l *BusInvert) driveModeField(modes []int) uint64 {
+	if l.modeBus == nil {
+		var v uint64
+		for i := len(modes) - 1; i >= 0; i-- {
+			v = v*3 + uint64(modes[i])
+		}
+		flips := uint64(bits.OnesCount64(l.modeWord ^ v))
+		l.modeWord = v
+		return flips
+	}
 	// Multi-precision conversion: repeatedly divide the base-3 digit
 	// vector by two, collecting remainders as bits.
 	digits := l.digits
@@ -415,9 +442,20 @@ func (l *BusInvert) driveModeField(modes []int) uint64 {
 }
 
 // readModeField decodes the base-3 mode vector from the mode wires into
-// the reused rxModes scratch.
+// the reused rxModes scratch: base-3 digits of the field value, least
+// significant first.
+//
+//desclint:hotpath runs once per beat on bic-ezs
 func (l *BusInvert) readModeField(segs int) []int {
 	modes := l.rxModes[:segs]
+	if l.modeBus == nil {
+		v := l.modeWord
+		for i := range modes {
+			modes[i] = int(v % 3)
+			v /= 3
+		}
+		return modes
+	}
 	for i := range modes {
 		modes[i] = 0
 	}
@@ -534,6 +572,7 @@ func (l *BusInvert) Reset() {
 	for i := range l.zero {
 		l.zero[i] = false
 	}
+	l.modeWord = 0
 	for i := range l.modeBus {
 		l.modeBus[i] = false
 	}

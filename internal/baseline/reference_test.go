@@ -317,11 +317,17 @@ func boolFlip(cur, want bool) int {
 // referenceGeometries are the shapes the differential tests sweep: the
 // paper's design points plus ragged widths that exercise the word paths'
 // tail handling (wires not a multiple of 64, segments of a whole word,
-// multi-word segments).
+// multi-word segments). The Fig 15 segment sweep's widths keep bic-ezs's
+// integer mode field on the oracle, and 512/256/4 (64 segments) its
+// long-division fallback past maxWordModeSegs.
 var referenceGeometries = []struct {
 	blockBits, wires, segBits int
 }{
 	{512, 64, 8},
+	{512, 64, 4},
+	{512, 64, 16},
+	{512, 64, 32},
+	{512, 256, 4}, // more segments than one mode-field word holds
 	{512, 128, 8},
 	{512, 128, 64},
 	{512, 256, 128}, // multi-word segments

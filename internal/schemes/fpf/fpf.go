@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"desc/internal/bitutil"
 	"desc/internal/link"
 	"desc/internal/schemes/lowweight"
 )
@@ -74,6 +75,10 @@ type FPF struct {
 	wireLo  []uint64
 	wireExt []bool
 
+	// The block and the receiver's reassembly as little-endian words
+	// covering every beat, so segments are shift-and-mask fields.
+	words   []uint64
+	rxWords []uint64
 	decoded []byte
 }
 
@@ -91,6 +96,8 @@ func New(blockBits, dataWires, segBits int) (*FPF, error) {
 		return nil, err
 	}
 	segs := dataWires / segBits
+	beats := (blockBits + dataWires - 1) / dataWires
+	words := (beats*dataWires + 63) / 64
 	return &FPF{
 		blockBits: blockBits,
 		wires:     dataWires,
@@ -99,6 +106,8 @@ func New(blockBits, dataWires, segBits int) (*FPF, error) {
 		code:      code,
 		wireLo:    make([]uint64, segs),
 		wireExt:   make([]bool, segs),
+		words:     make([]uint64, words),
+		rxWords:   make([]uint64, words),
 	}, nil
 }
 
@@ -129,21 +138,28 @@ func (l *FPF) Send(block []byte) link.Cost {
 	}
 	l.decoded = l.decoded[:len(block)]
 
+	// Beat b's segment s is the block's (b*segs+s)-th field: the beats
+	// tile the block contiguously, padded with idle zero wires.
+	bitutil.LoadBits(l.words, block, 0, l.blockBits)
+	for i := range l.rxWords {
+		l.rxWords[i] = 0
+	}
 	beats := (l.blockBits + l.wires - 1) / l.wires
 	var dataFlips, ctrlFlips uint64
 	for b := 0; b < beats; b++ {
 		for s := 0; s < l.segs; s++ {
 			off := b*l.wires + s*l.segBits
-			lo, ext := l.code.Encode(lowweight.LoadBits(block, off, l.segBits))
+			lo, ext := l.code.Encode(lowweight.Field(l.words, off, l.segBits))
 			dataFlips += uint64(bits.OnesCount64(l.wireLo[s] ^ lo))
 			if l.wireExt[s] != ext {
 				ctrlFlips++
 			}
 			l.wireLo[s], l.wireExt[s] = lo, ext
 			// The receiver ranks the settled wire pattern back to data.
-			lowweight.StoreBits(l.decoded, off, l.segBits, l.code.Decode(lo, ext))
+			lowweight.OrField(l.rxWords, off, l.segBits, l.code.Decode(lo, ext))
 		}
 	}
+	bitutil.StoreBits(l.decoded, l.rxWords, 0, l.blockBits)
 	return link.Cost{
 		Cycles: int64(beats),
 		Flips:  link.FlipCount{Data: dataFlips, Control: ctrlFlips},

@@ -115,9 +115,9 @@ func TestRegistered(t *testing.T) {
 
 // TestSendZeroAllocs mirrors the baseline/core allocation regressions:
 // fpf sits on the same simulation hot path and must not allocate in the
-// steady state.
+// steady state. Every Fig 15 segment width is pinned: the table and the
+// O(weight) codebook paths alike.
 func TestSendZeroAllocs(t *testing.T) {
-	l := newLink(t, 512, 64, 8)
 	rng := rand.New(rand.NewSource(9))
 	blocks := make([][]byte, 8)
 	for i := range blocks {
@@ -126,16 +126,19 @@ func TestSendZeroAllocs(t *testing.T) {
 			rng.Read(blocks[i])
 		}
 	}
-	for _, b := range blocks { // warm up the reused buffers
-		l.Send(b)
-	}
-	i := 0
-	avg := testing.AllocsPerRun(100, func() {
-		l.Send(blocks[i%len(blocks)])
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("%.2f allocs per steady-state Send, want 0", avg)
+	for _, seg := range []int{64, 32, 16, 8, 4} {
+		l := newLink(t, 512, 64, seg)
+		for _, b := range blocks { // warm up the reused buffers
+			l.Send(b)
+		}
+		i := 0
+		avg := testing.AllocsPerRun(100, func() {
+			l.Send(blocks[i%len(blocks)])
+			i++
+		})
+		if avg != 0 {
+			t.Errorf("seg=%d: %.2f allocs per steady-state Send, want 0", seg, avg)
+		}
 	}
 }
 

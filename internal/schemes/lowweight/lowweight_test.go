@@ -3,6 +3,8 @@ package lowweight
 import (
 	"math/bits"
 	"math/rand"
+	"strconv"
+	"sync"
 	"testing"
 )
 
@@ -114,31 +116,195 @@ func TestValidateSegment(t *testing.T) {
 	}
 }
 
-// TestLoadStoreBits round-trips random words at every bit offset,
-// including offsets whose tail clips past the block.
-func TestLoadStoreBits(t *testing.T) {
+// TestFieldRoundTrip round-trips random fields at every bit offset and
+// width, including fields that straddle a word boundary, and checks that
+// OrField leaves the bits around the field alone.
+func TestFieldRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	block := make([]byte, 9) // 72 bits
-	for _, count := range []int{1, 4, 8, 13, 64} {
-		for off := 0; off < 80; off++ {
+	words := make([]uint64, 3)
+	for _, k := range []int{1, 4, 6, 8, 10, 13, 34, 63, 64} {
+		for pos := 0; pos+k <= 64*len(words); pos++ {
 			v := rng.Uint64()
-			if count < 64 {
-				v &= 1<<uint(count) - 1
+			if k < 64 {
+				v &= 1<<uint(k) - 1
 			}
-			StoreBits(block, off, count, v)
-			got := LoadBits(block, off, count)
-			want := v
-			if tail := off + count - len(block)*8; tail > 0 {
-				// Bits past the block are dropped on store and read as zero.
-				if kept := count - tail; kept <= 0 {
-					want = 0
-				} else {
-					want &= 1<<uint(kept) - 1
-				}
+			for i := range words {
+				words[i] = 0
 			}
-			if got != want {
-				t.Fatalf("off=%d count=%d: load %x after store %x, want %x", off, count, got, v, want)
+			OrField(words, pos, k, v)
+			if got := Field(words, pos, k); got != v {
+				t.Fatalf("k=%d pos=%d: Field %x after OrField %x", k, pos, got, v)
+			}
+			total := 0
+			for _, w := range words {
+				total += bits.OnesCount64(w)
+			}
+			if total != bits.OnesCount64(v) {
+				t.Fatalf("k=%d pos=%d: OrField set %d bits for %x", k, pos, total, v)
 			}
 		}
 	}
+}
+
+func BenchmarkCodebook(b *testing.B) {
+	for _, k := range []int{8, 16, 32, 64} {
+		c, err := New(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(k)))
+		ranks := make([]uint64, 256)
+		for i := range ranks {
+			ranks[i] = rng.Uint64()
+			if k < 64 {
+				ranks[i] &= 1<<uint(k) - 1
+			}
+		}
+		b.Run("fast/"+strconv.Itoa(k), func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				lo, ext := c.Encode(ranks[i&255])
+				sink += c.Decode(lo, ext)
+			}
+			_ = sink
+		})
+		b.Run("walk/"+strconv.Itoa(k), func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				lo, ext := c.walkEncode(ranks[i&255])
+				sink += c.walkDecode(lo, ext)
+			}
+			_ = sink
+		})
+	}
+}
+
+// TestNewShares pins the process-wide sharing: a Code is immutable, so
+// every link of one segment width reuses the same tables, and concurrent
+// first uses build it once.
+func TestNewShares(t *testing.T) {
+	var wg sync.WaitGroup
+	got := make([]*Code, 8)
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := New(10)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = c
+		}(i)
+	}
+	wg.Wait()
+	for i, c := range got {
+		if c != got[0] {
+			t.Fatalf("New(10) call %d returned a second Code", i)
+		}
+	}
+	if a, b := mustNew(t, 8), mustNew(t, 16); a == b {
+		t.Fatal("different widths share a Code")
+	}
+}
+
+func mustNew(t testing.TB, k int) *Code {
+	t.Helper()
+	c, err := New(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// checkAgainstWalk pins one rank's every fast path to the defining walk:
+// Encode (table or wide), encodeWide itself, and the inverse direction
+// through Decode and decodeWide.
+func checkAgainstWalk(t testing.TB, c *Code, rank uint64) {
+	t.Helper()
+	wantLo, wantExt := c.walkEncode(rank)
+	if lo, ext := c.Encode(rank); lo != wantLo || ext != wantExt {
+		t.Fatalf("k=%d rank=%d: Encode = %x/%v, walk %x/%v", c.k, rank, lo, ext, wantLo, wantExt)
+	}
+	if lo, ext := c.encodeWide(rank); lo != wantLo || ext != wantExt {
+		t.Fatalf("k=%d rank=%d: encodeWide = %x/%v, walk %x/%v", c.k, rank, lo, ext, wantLo, wantExt)
+	}
+	if got := c.walkDecode(wantLo, wantExt); got != rank {
+		t.Fatalf("k=%d rank=%d: walk round trip gives %d", c.k, rank, got)
+	}
+	if got := c.Decode(wantLo, wantExt); got != rank {
+		t.Fatalf("k=%d rank=%d: Decode = %d", c.k, rank, got)
+	}
+	if got := c.decodeWide(wantLo, wantExt); got != rank {
+		t.Fatalf("k=%d rank=%d: decodeWide = %d", c.k, rank, got)
+	}
+}
+
+// TestFastPathsMatchWalkExhaustive covers every rank of every width up
+// to 16 bits: the lookup tables (k <= tableBits) and the O(weight) paths
+// against the walk they are derived from.
+func TestFastPathsMatchWalkExhaustive(t *testing.T) {
+	t.Parallel()
+	for k := 2; k <= 16; k += 2 {
+		c := mustNew(t, k)
+		if (c.enc != nil) != (k <= tableBits) {
+			t.Fatalf("k=%d: tables present = %v", k, c.enc != nil)
+		}
+		for rank := uint64(0); rank < 1<<uint(k); rank++ {
+			checkAgainstWalk(t, c, rank)
+		}
+	}
+}
+
+// TestFastPathsMatchWalkWide covers the widths too wide to enumerate
+// with the ranks where the search can slip: the ends of the range,
+// powers of two and their neighbours, every cumulative-table entry of
+// the first search row and its predecessor, plus seeded random ranks.
+func TestFastPathsMatchWalkWide(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(18))
+	for k := 18; k <= MaxDataBits; k += 2 {
+		c := mustNew(t, k)
+		limit := ^uint64(0)
+		if k < 64 {
+			limit = 1<<uint(k) - 1
+		}
+		ranks := []uint64{0, 1, 2, 3, limit - 1, limit}
+		for j := 1; j < k; j++ {
+			ranks = append(ranks, 1<<uint(j)-1, 1<<uint(j), 1<<uint(j)+1)
+		}
+		for _, row := range c.s {
+			for _, v := range row {
+				ranks = append(ranks, v-1, v)
+			}
+		}
+		for i := 0; i < 500; i++ {
+			ranks = append(ranks, rng.Uint64()&limit, rng.Uint64()&limit>>uint(rng.Intn(k)))
+		}
+		for _, rank := range ranks {
+			if rank <= limit {
+				checkAgainstWalk(t, c, rank)
+			}
+		}
+	}
+}
+
+// FuzzLowWeightCodebook holds the table and O(weight) paths to the walk
+// for arbitrary (width, rank) pairs.
+func FuzzLowWeightCodebook(f *testing.F) {
+	f.Add(uint8(3), uint64(0))
+	f.Add(uint8(3), uint64(255))
+	f.Add(uint8(7), uint64(0xBEEF))
+	f.Add(uint8(31), ^uint64(0))
+	f.Add(uint8(15), uint64(1)<<31)
+	f.Fuzz(func(t *testing.T, kb uint8, rank uint64) {
+		k := 2 * (int(kb)%(MaxDataBits/2) + 1)
+		c, err := New(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k < 64 {
+			rank &= 1<<uint(k) - 1
+		}
+		checkAgainstWalk(t, c, rank)
+	})
 }

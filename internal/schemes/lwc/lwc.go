@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"desc/internal/bitutil"
 	"desc/internal/link"
 	"desc/internal/schemes/fpf"
 	"desc/internal/schemes/lowweight"
@@ -60,6 +61,10 @@ type LWC struct {
 	wireLo  []uint64
 	wireExt []bool
 
+	// The block and the receiver's reassembly as little-endian words
+	// covering every beat, so segments are shift-and-mask fields.
+	words   []uint64
+	rxWords []uint64
 	decoded []byte
 }
 
@@ -77,6 +82,8 @@ func New(blockBits, dataWires, segBits int) (*LWC, error) {
 		return nil, err
 	}
 	segs := dataWires / segBits
+	beats := (blockBits + dataWires - 1) / dataWires
+	words := (beats*dataWires + 63) / 64
 	return &LWC{
 		blockBits: blockBits,
 		wires:     dataWires,
@@ -85,6 +92,8 @@ func New(blockBits, dataWires, segBits int) (*LWC, error) {
 		code:      code,
 		wireLo:    make([]uint64, segs),
 		wireExt:   make([]bool, segs),
+		words:     make([]uint64, words),
+		rxWords:   make([]uint64, words),
 	}, nil
 }
 
@@ -119,12 +128,18 @@ func (l *LWC) Send(block []byte) link.Cost {
 	}
 	l.decoded = l.decoded[:len(block)]
 
+	// Beat b's segment s is the block's (b*segs+s)-th field: the beats
+	// tile the block contiguously, padded with idle zero wires.
+	bitutil.LoadBits(l.words, block, 0, l.blockBits)
+	for i := range l.rxWords {
+		l.rxWords[i] = 0
+	}
 	beats := (l.blockBits + l.wires - 1) / l.wires
 	var dataFlips, ctrlFlips uint64
 	for b := 0; b < beats; b++ {
 		for s := 0; s < l.segs; s++ {
 			off := b*l.wires + s*l.segBits
-			lo, ext := l.code.Encode(lowweight.LoadBits(block, off, l.segBits))
+			lo, ext := l.code.Encode(lowweight.Field(l.words, off, l.segBits))
 			// Transition signaling: flips are exactly the codeword
 			// weight, at most k/2 per segment.
 			dataFlips += uint64(bits.OnesCount64(lo))
@@ -134,9 +149,10 @@ func (l *LWC) Send(block []byte) link.Cost {
 				l.wireExt[s] = !l.wireExt[s]
 			}
 			// The receiver ranks the state difference back to data.
-			lowweight.StoreBits(l.decoded, off, l.segBits, l.code.Decode(lo, ext))
+			lowweight.OrField(l.rxWords, off, l.segBits, l.code.Decode(lo, ext))
 		}
 	}
+	bitutil.StoreBits(l.decoded, l.rxWords, 0, l.blockBits)
 	return link.Cost{
 		Cycles: int64(beats),
 		Flips:  link.FlipCount{Data: dataFlips, Control: ctrlFlips},

@@ -30,11 +30,25 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"desc/internal/workload"
 )
 
 const magic = "DESCTRC1"
+
+// Errors Reader.Read wraps, with the offending value, for records no
+// Writer produces.
+var (
+	// ErrContext marks a record whose context id is outside the
+	// header's context count.
+	ErrContext = errors.New("trace: context out of range")
+	// ErrOp marks a record whose op byte is neither 0 (read) nor 1
+	// (write).
+	ErrOp = errors.New("trace: op is not 0 (read) or 1 (write)")
+	// ErrGap marks a record whose instruction gap overflows int.
+	ErrGap = errors.New("trace: gap overflows int")
+)
 
 // Header identifies the workload a trace was recorded from.
 type Header struct {
@@ -182,16 +196,24 @@ func (t *Reader) Read() (Record, error) {
 		}
 		return Record{}, err
 	}
-	if int(ctx) >= t.header.Contexts {
-		return Record{}, fmt.Errorf("trace: record for context %d of %d", ctx, t.header.Contexts)
+	// Compare as uint64: converting first would wrap ids >= 2^63
+	// negative past the check.
+	if ctx >= uint64(t.header.Contexts) {
+		return Record{}, fmt.Errorf("trace: record for context %d of %d: %w", ctx, t.header.Contexts, ErrContext)
 	}
 	gap, err := binary.ReadUvarint(t.r)
 	if err != nil {
 		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
 	}
+	if gap > math.MaxInt {
+		return Record{}, fmt.Errorf("trace: record gap %d: %w", gap, ErrGap)
+	}
 	op, err := t.r.ReadByte()
 	if err != nil {
 		return Record{}, fmt.Errorf("trace: truncated record: %w", err)
+	}
+	if op > 1 {
+		return Record{}, fmt.Errorf("trace: record op %d: %w", op, ErrOp)
 	}
 	delta, err := binary.ReadVarint(t.r)
 	if err != nil {

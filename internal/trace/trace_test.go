@@ -98,6 +98,73 @@ func TestReaderRejectsGarbage(t *testing.T) {
 	}
 }
 
+// recordStream returns a valid two-context header followed by raw
+// record bytes.
+func recordStream(t testing.TB, records []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, Header{Benchmark: "Art", Seed: 1, Contexts: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return append(buf.Bytes(), records...)
+}
+
+// ctxTwoTo63 is a record for context 2^63, which wrapped negative when
+// converted to int before the range check and then indexed lastAddr.
+var ctxTwoTo63 = []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0, 0}
+
+// TestReaderRejectsBadRecords: records no Writer produces fail with a
+// named error instead of panicking or being misread.
+func TestReaderRejectsBadRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		record []byte
+		want   error
+	}{
+		{"context 2^63", ctxTwoTo63, ErrContext},
+		{"context past header", []byte{2, 0, 0, 0}, ErrContext},
+		{"op byte 2", []byte{0, 0, 2, 0}, ErrOp},
+		{"op byte 0xFF", []byte{1, 0, 0xFF, 0}, ErrOp},
+		{"gap 2^63", []byte{0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0, 0}, ErrGap},
+	} {
+		r, err := NewReader(bytes.NewReader(recordStream(t, tc.record)))
+		if err != nil {
+			t.Fatalf("%s: header: %v", tc.name, err)
+		}
+		if _, err := r.Read(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Read = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// FuzzTraceReader: arbitrary bytes after the magic must either read as
+// records or fail with an error — never panic.
+func FuzzTraceReader(f *testing.F) {
+	f.Add(recordStream(f, ctxTwoTo63))
+	f.Add(recordStream(f, []byte{0, 5, 1, 0x80, 0x20, 1, 0, 0, 0x7F}))
+	f.Add(recordStream(f, []byte{0, 0, 2, 0}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		contexts := r.Header().Contexts
+		for {
+			rec, err := r.Read()
+			if err != nil {
+				return
+			}
+			if rec.Ctx < 0 || rec.Ctx >= contexts || rec.Access.Gap < 0 {
+				t.Fatalf("accepted record %+v of %d contexts", rec, contexts)
+			}
+		}
+	})
+}
+
 // TestCaptureReplayTimingIdentical: replaying a captured trace through the
 // simulator reproduces the live run cycle for cycle, because the streams
 // and the block contents are both deterministic.
