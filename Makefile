@@ -62,18 +62,19 @@ fuzz:
 	$(GO) test -fuzz=FuzzLWCDecode          -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lwc
 	$(GO) test -fuzz=FuzzLowWeightCodebook  -fuzztime=$(FUZZTIME) -run '^$$' ./internal/schemes/lowweight
 	$(GO) test -fuzz=FuzzTraceReader        -fuzztime=$(FUZZTIME) -run '^$$' ./internal/trace
+	$(GO) test -fuzz=FuzzGenBlockVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzServeEncodeRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 
 ## bench: repository benchmarks (reduced-scale experiment sweeps)
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' .
 
-## bench-quick: the Send hot-path, figure, and runner cold/warm-disk-cache
-## benchmarks with allocation counts, written to bench-quick.txt (CI
-## uploads it as an artifact so every PR carries a ns/op and allocs/op
-## record)
+## bench-quick: the Send hot-path, per-layer simulator (Sim*), figure, and
+## runner cold/warm-disk-cache benchmarks with allocation counts, written
+## to bench-quick.txt (CI uploads it as an artifact so every PR carries a
+## ns/op and allocs/op record)
 bench-quick:
-	$(GO) test -run '^$$' -bench 'Send|Recv|Fig|RunnerExecute' -benchtime 100ms -benchmem . | tee bench-quick.txt
+	$(GO) test -run '^$$' -bench 'Send|Recv|Sim[A-Z]|Fig|RunnerExecute' -benchtime 100ms -benchmem . | tee bench-quick.txt
 
 ## results-quick: regenerate the quick result set on the parallel runner,
 ## emitting the JSON run report alongside it (tune with JOBS=N; pin the

@@ -19,6 +19,8 @@ import (
 	"sync"
 	"testing"
 
+	"desc/internal/cachemodel"
+	"desc/internal/cachesim"
 	"desc/internal/exp"
 	"desc/internal/metrics"
 	"desc/internal/runcache"
@@ -378,5 +380,93 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Per-layer simulator microbenchmarks (`make bench-quick` records them
+// with the rest). Each prices one layer a simulation spends its time in,
+// on the design point: block generation, generator and hierarchy
+// construction, and one hierarchy reference.
+
+// BenchmarkSimGenBlock generates a block that is not in the generator's
+// block cache: every iteration asks for a new address.
+func BenchmarkSimGenBlock(b *testing.B) {
+	gen := workload.NewGenerator(workload.Parallel()[0], 1)
+	buf := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen.FillBlockData(uint64(i)*64, buf)
+	}
+}
+
+// BenchmarkSimNewGenerator builds the generators of the quick profiles in
+// turn, as a sweep does for every simulation.
+func BenchmarkSimNewGenerator(b *testing.B) {
+	profiles := make([]workload.Profile, 0, 4)
+	for _, name := range []string{"Art", "CG", "RayTrace", "Radix"} {
+		p, _ := workload.ByName(name)
+		profiles = append(profiles, p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchGenerator = workload.NewGenerator(profiles[i%len(profiles)], 1)
+	}
+}
+
+var (
+	benchGenerator *workload.Generator
+	benchHierarchy *cachesim.Hierarchy
+)
+
+// simBenchConfig is the design-point hierarchy with the DESC link.
+func simBenchConfig() cachesim.Config {
+	return cachesim.Config{L2: cachemodel.Config{Scheme: "desc-zero", DataWires: 128}}
+}
+
+// BenchmarkSimCachesimNew builds a design-point hierarchy: eight L1s, the
+// 8 MB L2 arrays and directory, the cache model's links and the DRAM.
+func BenchmarkSimCachesimNew(b *testing.B) {
+	gen := workload.NewGenerator(workload.Parallel()[0], 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := cachesim.New(simBenchConfig(), gen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchHierarchy = h
+	}
+}
+
+// BenchmarkSimHierarchyAccess replays a fixed reference stream, the
+// interleaved first references of Radix's 32 contexts, through one
+// design-point hierarchy; an iteration is one reference.
+func BenchmarkSimHierarchyAccess(b *testing.B) {
+	prof, _ := workload.ByName("Radix")
+	gen := workload.NewGenerator(prof, 1)
+	const nctx, perCtx = 32, 2048
+	streams := make([]*workload.Stream, nctx)
+	for c := range streams {
+		streams[c] = gen.Stream(c, nctx)
+	}
+	refs := make([]workload.Access, 0, nctx*perCtx)
+	for i := 0; i < perCtx; i++ {
+		for _, s := range streams {
+			refs = append(refs, s.Next())
+		}
+	}
+	h, err := cachesim.New(simBenchConfig(), gen)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	now := uint64(0)
+	for i := 0; i < b.N; i++ {
+		r := refs[i%len(refs)]
+		now += uint64(r.Gap)/8 + 1
+		h.Access(now, i%len(refs)%nctx/4, r.Addr, r.Write)
 	}
 }

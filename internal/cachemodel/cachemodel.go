@@ -189,6 +189,12 @@ type Model struct {
 	eccParityWires int
 	eccScale       float64 // encoded bits / data bits
 
+	// Constants of the configuration, derived once in New so Access does
+	// no model arithmetic beyond the data-dependent part.
+	banks       []bankConsts
+	arrayCycles int
+	blockArrayJ [2]float64 // per-block array energy: read, write
+
 	// mx holds the scheme's pre-resolved telemetry instruments. Always
 	// non-nil; its instruments are nil (no-op) until SetMetrics installs
 	// a registry, so Access increments unconditionally.
@@ -200,6 +206,14 @@ type Model struct {
 	htreeJ     float64
 	arrayJ     float64
 	xferCycles uint64
+}
+
+// bankConsts are one bank's path-dependent constants.
+type bankConsts struct {
+	wire         wiremodel.Wire // controller-to-bank H-tree
+	perFlipJ     float64        // wire.EnergyPerFlipJ()
+	flightCycles int            // one-way wire.DelayCycles
+	probeCycles  int            // controller + round-trip flight + array
 }
 
 // linkMetrics is the codec layer's instrument set: per-scheme transfer
@@ -307,6 +321,26 @@ func New(cfg Config) (*Model, error) {
 		}
 	}
 	m.floorplan()
+	m.arrayCycles = m.bank.AccessCycles(cfg.ClockGHz)
+	bits := cfg.BlockBytes * 8
+	m.blockArrayJ = [2]float64{m.bank.ReadEnergyJ(bits), m.bank.WriteEnergyJ(bits)}
+	for i := range m.blockArrayJ {
+		m.blockArrayJ[i] *= m.eccScale // ECC bits are stored and read too
+		if cfg.ECC.Enabled {
+			m.blockArrayJ[i] += eccLogicPJPerAccess * 1e-12
+		}
+	}
+	m.banks = make([]bankConsts, cfg.Banks)
+	for b := range m.banks {
+		w := wiremodel.NewWire(cfg.Node, cfg.Periphery, m.pathMM[b])
+		flight := w.DelayCycles(cfg.ClockGHz)
+		m.banks[b] = bankConsts{
+			wire:         w,
+			perFlipJ:     w.EnergyPerFlipJ(),
+			flightCycles: flight,
+			probeCycles:  controllerCycles + 2*flight + m.arrayCycles,
+		}
+	}
 	return m, nil
 }
 
@@ -375,18 +409,11 @@ func (m *Model) tracksHistory() (bool, float64) {
 		lastValueStoreLeakW * m.traits.History.LeakFactor()
 }
 
-// wireFor returns the H-tree wire model for the given bank.
-func (m *Model) wireFor(bankID int) wiremodel.Wire {
-	return wiremodel.NewWire(m.cfg.Node, m.cfg.Periphery, m.pathMM[bankID])
-}
-
 // FlightCycles returns the one-way wire propagation latency to a bank.
-func (m *Model) FlightCycles(bankID int) int {
-	return m.wireFor(bankID).DelayCycles(m.cfg.ClockGHz)
-}
+func (m *Model) FlightCycles(bankID int) int { return m.banks[bankID].flightCycles }
 
 // ArrayCycles returns the mat access latency.
-func (m *Model) ArrayCycles() int { return m.bank.AccessCycles(m.cfg.ClockGHz) }
+func (m *Model) ArrayCycles() int { return m.arrayCycles }
 
 // codecCycles returns the scheme's logic latency contribution, declared
 // by the scheme itself in its registered traits.
@@ -396,19 +423,22 @@ func (m *Model) codecCycles() int { return m.traits.CodecCycles }
 // The block is routed through the bank's link, so wire history and value
 // skipping behave exactly as in hardware. isWrite selects direction (and
 // write energy in the arrays).
+//
+//desclint:hotpath
 func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 	if bankID < 0 || bankID >= m.cfg.Banks {
 		panic(fmt.Sprintf("cachemodel: bank %d of %d", bankID, m.cfg.Banks))
 	}
+	bc := &m.banks[bankID]
 	l := m.readLinks[bankID]
+	arrayJ := m.blockArrayJ[0]
 	if isWrite {
 		l = m.writeLinks[bankID]
+		arrayJ = m.blockArrayJ[1]
 	}
 	cost := l.Send(block)
 
-	wire := m.wireFor(bankID)
-	perFlip := wire.EnergyPerFlipJ()
-
+	perFlip := bc.perFlipJ
 	// Data/control/sync flips, scaled by the ECC transfer widening.
 	dataJ := float64(cost.Flips.Total()) * perFlip * m.eccScale
 	// Address and control in conventional binary (Section 3.2.1).
@@ -421,18 +451,6 @@ func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 		htreeJ *= lastValueWriteBroadcastFactor
 	}
 
-	var arrayJ float64
-	bits := m.cfg.BlockBytes * 8
-	if isWrite {
-		arrayJ = m.bank.WriteEnergyJ(bits)
-	} else {
-		arrayJ = m.bank.ReadEnergyJ(bits)
-	}
-	arrayJ *= m.eccScale // ECC bits are stored and read too
-	if m.cfg.ECC.Enabled {
-		arrayJ += eccLogicPJPerAccess * 1e-12
-	}
-
 	res := AccessResult{
 		TransferCycles: cost.Cycles,
 		EnergyJ:        htreeJ + arrayJ,
@@ -440,8 +458,7 @@ func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 		ArrayJ:         arrayJ,
 		Flips:          cost.Flips,
 	}
-	res.Cycles = int64(controllerCycles+2*m.FlightCycles(bankID)+m.ArrayCycles()+m.codecCycles()) +
-		cost.Cycles
+	res.Cycles = int64(bc.probeCycles+m.codecCycles()) + cost.Cycles
 
 	m.accesses++
 	m.energyJ += res.EnergyJ
@@ -460,15 +477,13 @@ func (m *Model) Access(bankID int, block []byte, isWrite bool) AccessResult {
 
 // TagProbeCycles returns the latency of a tag-only probe (miss detection):
 // no data transfer.
-func (m *Model) TagProbeCycles(bankID int) int {
-	return controllerCycles + 2*m.FlightCycles(bankID) + m.ArrayCycles()
-}
+func (m *Model) TagProbeCycles(bankID int) int { return m.banks[bankID].probeCycles }
 
 // TagProbeEnergyJ returns the energy of a tag-only probe.
 func (m *Model) TagProbeEnergyJ(bankID int) float64 {
 	// Tag array read (~ways x tag bits) plus address transfer.
 	tagBits := m.cfg.Ways * 32
-	return m.bank.ReadEnergyJ(tagBits)/4 + addrWires*addrActivity*m.wireFor(bankID).EnergyPerFlipJ()
+	return m.bank.ReadEnergyJ(tagBits)/4 + addrWires*addrActivity*m.banks[bankID].perFlipJ
 }
 
 // LeakageW returns the cache's total standby power: banks plus H-tree
@@ -478,8 +493,7 @@ func (m *Model) LeakageW() float64 {
 	// Repeater leakage across all routed wires.
 	wires := float64(m.totalWires())
 	for b := 0; b < m.cfg.Banks; b++ {
-		w := m.wireFor(b)
-		leak += w.LeakageW() * wires / float64(m.cfg.Banks)
+		leak += m.banks[b].wire.LeakageW() * wires / float64(m.cfg.Banks)
 	}
 	if hist, storeLeak := m.tracksHistory(); hist {
 		leak += storeLeak

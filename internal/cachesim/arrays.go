@@ -2,6 +2,13 @@ package cachesim
 
 import "fmt"
 
+// Both cache arrays store each per-line field in one flat slice indexed
+// set*ways+way, so a set's ways are adjacent and a whole array costs a
+// handful of allocations. Lookups return that flat line index (-1 when the
+// block is absent) together with the set's base index, and the per-line
+// operations take the index, so a caller that looked a block up once can
+// act on its line without scanning the set again.
+
 // l1State is the coherence state of an L1 line (MESI collapsed to the
 // three states that matter for this study; Exclusive is folded into
 // Modified on first write and into Shared otherwise).
@@ -18,9 +25,9 @@ type l1Cache struct {
 	sets    int
 	ways    int
 	blkBits uint
-	tags    [][]uint64 // tags[set][way]; 0 = invalid
-	state   [][]l1State
-	lru     [][]uint8 // lower = more recently used
+	tags    []uint64 // 0 = invalid
+	state   []l1State
+	lru     []uint8 // lower = more recently used
 }
 
 func newL1(capacity, ways, blockBytes int) (*l1Cache, error) {
@@ -35,92 +42,84 @@ func newL1(capacity, ways, blockBytes int) (*l1Cache, error) {
 	for 1<<blkBits < blockBytes {
 		blkBits++
 	}
-	c := &l1Cache{sets: sets, ways: ways, blkBits: blkBits}
-	c.tags = make([][]uint64, sets)
-	c.state = make([][]l1State, sets)
-	c.lru = make([][]uint8, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.state[i] = make([]l1State, ways)
-		c.lru[i] = make([]uint8, ways)
-		for w := range c.lru[i] {
-			c.lru[i][w] = uint8(w)
-		}
+	n := sets * ways
+	c := &l1Cache{sets: sets, ways: ways, blkBits: blkBits,
+		tags: make([]uint64, n), state: make([]l1State, n), lru: make([]uint8, n)}
+	for i := range c.lru {
+		c.lru[i] = uint8(i % ways)
 	}
 	return c, nil
 }
 
-func (c *l1Cache) index(addr uint64) (set int, tag uint64) {
+// index returns addr's set base index and tag.
+func (c *l1Cache) index(addr uint64) (base int, tag uint64) {
 	blk := addr >> c.blkBits
-	return int(blk % uint64(c.sets)), blk + 1 // +1 so tag 0 means invalid
+	return int(blk%uint64(c.sets)) * c.ways, blk + 1 // +1 so tag 0 means invalid
 }
 
-// lookup reports whether addr is present and in what state.
-func (c *l1Cache) lookup(addr uint64) (l1State, bool) {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
+// find returns addr's set base and line index (-1 when absent).
+//
+//desclint:hotpath
+func (c *l1Cache) find(addr uint64) (base, line int) {
+	base, tag := c.index(addr)
+	for i, t := range c.tags[base : base+c.ways] {
 		if t == tag {
-			return c.state[set][w], true
+			return base, base + i
 		}
 	}
-	return 0, false
+	return base, -1
 }
 
 // touch updates LRU order and, on writes, promotes the line to Modified.
-func (c *l1Cache) touch(addr uint64, write bool) {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
-		if t == tag {
-			c.promote(set, w)
-			if write {
-				c.state[set][w] = l1Modified
-			}
-			return
-		}
+func (c *l1Cache) touch(base, line int, write bool) {
+	promote(c.lru[base:base+c.ways], line-base)
+	if write {
+		c.state[line] = l1Modified
 	}
 }
 
-// promote makes way w the most recently used in its set.
-func (c *l1Cache) promote(set, w int) {
-	old := c.lru[set][w]
-	for i := range c.lru[set] {
-		if c.lru[set][i] < old {
-			c.lru[set][i]++
+// promote makes way w the most recently used of a set's LRU ranks.
+//
+//desclint:hotpath
+func promote(lru []uint8, w int) {
+	old := lru[w]
+	for i, r := range lru {
+		if r < old {
+			lru[i]++
 		}
 	}
-	c.lru[set][w] = 0
+	lru[w] = 0
 }
 
 // allocate installs addr, returning the evicted block address and whether
 // it was dirty. The line state starts Shared (or Modified when allocated
 // by a write).
 func (c *l1Cache) allocate(addr uint64, write bool) (victim uint64, dirty bool) {
-	set, tag := c.index(addr)
+	base, tag := c.index(addr)
 	// Choose LRU way (highest LRU value), preferring invalid ways.
-	way := 0
+	line := base
 	best := uint8(0)
-	for w, t := range c.tags[set] {
-		if t == 0 {
-			way = w
-			best = 255
+	for w := base; w < base+c.ways; w++ {
+		if c.tags[w] == 0 {
+			line = w
 			break
 		}
-		if c.lru[set][w] >= best {
-			best = c.lru[set][w]
-			way = w
+		if c.lru[w] >= best {
+			best = c.lru[w]
+			line = w
 		}
 	}
-	if c.tags[set][way] != 0 && c.state[set][way] == l1Modified {
-		victim = (c.tags[set][way] - 1) << c.blkBits
+	if c.tags[line] != 0 && c.state[line] == l1Modified {
+		victim = (c.tags[line] - 1) << c.blkBits
 		dirty = true
 	}
-	c.tags[set][way] = tag
+	c.tags[line] = tag
 	if write {
-		c.state[set][way] = l1Modified
+		c.state[line] = l1Modified
 	} else {
-		c.state[set][way] = l1Shared
+		c.state[line] = l1Shared
 	}
-	c.promote(set, way)
+	promote(c.lru[base:base+c.ways], line-base)
 	return victim, dirty
 }
 
@@ -128,15 +127,13 @@ func (c *l1Cache) allocate(addr uint64, write bool) (victim uint64, dirty bool) 
 // (A dirty line invalidated by coherence has already been written back by
 // the caller.)
 func (c *l1Cache) invalidate(addr uint64) bool {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
-		if t == tag {
-			c.tags[set][w] = 0
-			c.state[set][w] = l1Shared
-			return true
-		}
+	_, line := c.find(addr)
+	if line < 0 {
+		return false
 	}
-	return false
+	c.tags[line] = 0
+	c.state[line] = l1Shared
+	return true
 }
 
 // l2Cache is the shared L2 tag/directory store: banked, set associative,
@@ -146,12 +143,12 @@ type l2Cache struct {
 	ways        int
 	banks       int
 	blkBits     uint
-	tags        [][]uint64
-	dirty       [][]bool
-	sharers     [][]uint32
-	owner       [][]int8 // core holding the line Modified in its L1; -1 none
-	lru         [][]uint8
-	prefetched  [][]bool // filled by the prefetcher, not yet demanded
+	tags        []uint64
+	dirty       []bool
+	sharers     []uint32
+	owner       []int8 // core holding the line Modified in its L1; -1 none
+	lru         []uint8
+	prefetched  []bool // filled by the prefetcher, not yet demanded
 }
 
 func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
@@ -166,151 +163,109 @@ func newL2(capacity, ways, blockBytes, banks int) (*l2Cache, error) {
 	for 1<<blkBits < blockBytes {
 		blkBits++
 	}
-	total := sets
-	c := &l2Cache{setsPerBank: sets / banks, ways: ways, banks: banks, blkBits: blkBits}
-	c.tags = make([][]uint64, total)
-	c.dirty = make([][]bool, total)
-	c.sharers = make([][]uint32, total)
-	c.owner = make([][]int8, total)
-	c.lru = make([][]uint8, total)
-	c.prefetched = make([][]bool, total)
-	for i := 0; i < total; i++ {
-		c.tags[i] = make([]uint64, ways)
-		c.dirty[i] = make([]bool, ways)
-		c.sharers[i] = make([]uint32, ways)
-		c.owner[i] = make([]int8, ways)
-		c.lru[i] = make([]uint8, ways)
-		c.prefetched[i] = make([]bool, ways)
-		for w := 0; w < ways; w++ {
-			c.owner[i][w] = -1
-			c.lru[i][w] = uint8(w)
-		}
+	n := sets * ways
+	c := &l2Cache{setsPerBank: sets / banks, ways: ways, banks: banks, blkBits: blkBits,
+		tags: make([]uint64, n), dirty: make([]bool, n), sharers: make([]uint32, n),
+		owner: make([]int8, n), lru: make([]uint8, n), prefetched: make([]bool, n)}
+	for i := 0; i < n; i++ {
+		c.owner[i] = -1
+		c.lru[i] = uint8(i % ways)
 	}
 	return c, nil
 }
 
-func (c *l2Cache) index(addr uint64) (set int, tag uint64) {
+// index returns addr's set base index and tag.
+func (c *l2Cache) index(addr uint64) (base int, tag uint64) {
 	blk := addr >> c.blkBits
 	bank := blk % uint64(c.banks)
 	row := (blk / uint64(c.banks)) % uint64(c.setsPerBank)
-	return int(bank)*c.setsPerBank + int(row), blk + 1
+	return (int(bank)*c.setsPerBank + int(row)) * c.ways, blk + 1
 }
 
-func (c *l2Cache) find(addr uint64) (set, way int, ok bool) {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
+// find returns addr's set base and line index (-1 when absent).
+//
+//desclint:hotpath
+func (c *l2Cache) find(addr uint64) (base, line int) {
+	base, tag := c.index(addr)
+	for i, t := range c.tags[base : base+c.ways] {
 		if t == tag {
-			return set, w, true
+			return base, base + i
 		}
 	}
-	return set, -1, false
+	return base, -1
 }
 
-// lookup reports presence and refreshes LRU.
-func (c *l2Cache) lookup(addr uint64) bool {
-	set, way, ok := c.find(addr)
-	if ok {
-		c.promote(set, way)
-	}
-	return ok
+// promote refreshes a present line's LRU rank.
+func (c *l2Cache) promote(base, line int) {
+	promote(c.lru[base:base+c.ways], line-base)
 }
 
-func (c *l2Cache) promote(set, w int) {
-	old := c.lru[set][w]
-	for i := range c.lru[set] {
-		if c.lru[set][i] < old {
-			c.lru[set][i]++
-		}
-	}
-	c.lru[set][w] = 0
-}
-
-// allocate installs addr and returns any dirty victim.
-func (c *l2Cache) allocate(addr uint64) (victim uint64, victimDirty bool) {
-	set, tag := c.index(addr)
-	way, best := 0, uint8(0)
-	for w, t := range c.tags[set] {
-		if t == 0 {
-			way, best = w, 255
+// allocate installs addr and returns its line and any dirty victim.
+func (c *l2Cache) allocate(addr uint64) (line int, victim uint64, victimDirty bool) {
+	base, tag := c.index(addr)
+	line, best := base, uint8(0)
+	for w := base; w < base+c.ways; w++ {
+		if c.tags[w] == 0 {
+			line = w
 			break
 		}
-		if c.lru[set][w] >= best {
-			best = c.lru[set][w]
-			way = w
+		if c.lru[w] >= best {
+			best = c.lru[w]
+			line = w
 		}
 	}
-	if c.tags[set][way] != 0 && c.dirty[set][way] {
-		blk := c.tags[set][way] - 1
+	if c.tags[line] != 0 && c.dirty[line] {
+		blk := c.tags[line] - 1
 		victim = blk << c.blkBits
 		victimDirty = true
 	}
-	c.tags[set][way] = tag
-	c.dirty[set][way] = false
-	c.sharers[set][way] = 0
-	c.owner[set][way] = -1
-	c.prefetched[set][way] = false
-	c.promote(set, way)
-	return victim, victimDirty
+	c.tags[line] = tag
+	c.dirty[line] = false
+	c.sharers[line] = 0
+	c.owner[line] = -1
+	c.prefetched[line] = false
+	c.promote(base, line)
+	return line, victim, victimDirty
 }
 
-// markPrefetched flags addr as prefetcher-filled.
-func (c *l2Cache) markPrefetched(addr uint64) {
-	if set, way, ok := c.find(addr); ok {
-		c.prefetched[set][way] = true
-	}
-}
-
-// clearPrefetched reports and clears the prefetched flag (a useful
-// prefetch: the line was demanded before eviction).
-func (c *l2Cache) clearPrefetched(addr uint64) bool {
-	set, way, ok := c.find(addr)
-	if !ok || !c.prefetched[set][way] {
-		return false
-	}
-	c.prefetched[set][way] = false
-	return true
-}
-
-// recordL1 tracks which core holds the line after a fill.
-func (c *l2Cache) recordL1(addr uint64, core int, write bool) {
-	set, way, ok := c.find(addr)
-	if !ok {
+// recordL1 tracks which core holds the line after a fill (no-op for an
+// absent line).
+func (c *l2Cache) recordL1(line, core int, write bool) {
+	if line < 0 {
 		return
 	}
-	c.sharers[set][way] |= 1 << uint(core)
+	c.sharers[line] |= 1 << uint(core)
 	if write {
-		c.owner[set][way] = int8(core)
-		c.dirty[set][way] = true
+		c.owner[line] = int8(core)
+		c.dirty[line] = true
 	}
 }
 
-// dirtyOwner returns the core holding addr Modified, or -1.
-func (c *l2Cache) dirtyOwner(addr uint64) int {
-	set, way, ok := c.find(addr)
-	if !ok {
+// dirtyOwner returns the core holding the line Modified, or -1.
+func (c *l2Cache) dirtyOwner(line int) int {
+	if line < 0 {
 		return -1
 	}
-	return int(c.owner[set][way])
+	return int(c.owner[line])
 }
 
-// markDirty records an L1 writeback into the line.
+// markDirty records an L1 writeback into addr's line.
 func (c *l2Cache) markDirty(addr uint64) {
-	set, way, ok := c.find(addr)
-	if !ok {
+	_, line := c.find(addr)
+	if line < 0 {
 		return
 	}
-	c.dirty[set][way] = true
-	c.owner[set][way] = -1
+	c.dirty[line] = true
+	c.owner[line] = -1
 }
 
-// clearSharers drops every sharer except `except`.
-func (c *l2Cache) clearSharers(addr uint64, except int) {
-	set, way, ok := c.find(addr)
-	if !ok {
+// clearSharers drops every sharer of the line except `except`.
+func (c *l2Cache) clearSharers(line, except int) {
+	if line < 0 {
 		return
 	}
-	c.sharers[set][way] &= 1 << uint(except)
-	if int(c.owner[set][way]) != except {
-		c.owner[set][way] = -1
+	c.sharers[line] &= 1 << uint(except)
+	if int(c.owner[line]) != except {
+		c.owner[line] = -1
 	}
 }

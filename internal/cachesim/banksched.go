@@ -18,6 +18,8 @@ const pruneSlack = 4096
 
 // reserve books the earliest interval of length dur starting at or after
 // earliest, and returns its start time.
+//
+//desclint:hotpath
 func (b *bankSched) reserve(earliest, dur uint64) uint64 {
 	if dur == 0 {
 		dur = 1
@@ -33,8 +35,19 @@ func (b *bankSched) reserve(earliest, dur uint64) uint64 {
 			b.iv = b.iv[:copy(b.iv, b.iv[i:])]
 		}
 	}
+	// Intervals never overlap, so their ends ascend with their starts.
+	// Every interval that ended by `earliest` neither fits the request
+	// nor delays it; binary search skips them.
+	pos, hi := 0, len(b.iv)
+	for pos < hi {
+		m := int(uint(pos+hi) >> 1)
+		if b.iv[m].end <= earliest {
+			pos = m + 1
+		} else {
+			hi = m
+		}
+	}
 	start := earliest
-	pos := 0
 	for pos < len(b.iv) {
 		cur := b.iv[pos]
 		if start+dur <= cur.start {

@@ -94,7 +94,12 @@ type Hierarchy struct {
 	banks []bankSched
 
 	// inflight tracks outstanding fills per block so concurrent
-	// requesters merge into one L2/DRAM access (MSHR behavior).
+	// requesters merge into one L2/DRAM access (MSHR behavior). An entry
+	// outlives its fill: only a later fetch of the same block removes it,
+	// so the map grows with every block ever fetched, and prefetch, which
+	// tests membership rather than whether the fill is still pending,
+	// skips a block that was fetched and has since been evicted (pinned by
+	// TestStaleInflightSkipsPrefetch). Fixing either changes results.
 	inflight map[uint64]uint64
 
 	// cancel, when non-nil, aborts block transfers once closed; see
@@ -217,6 +222,8 @@ func (h *Hierarchy) cancelled() bool {
 
 // Access performs one data reference by core at cycle now and returns the
 // completion cycle.
+//
+//desclint:hotpath
 func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64 {
 	if core < 0 || core >= len(h.l1) {
 		panic(fmt.Sprintf("cachesim: core %d of %d", core, len(h.l1)))
@@ -224,9 +231,9 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 	addr &^= uint64(h.model.BlockBytes() - 1)
 	l1 := h.l1[core]
 
-	if state, hit := l1.lookup(addr); hit {
-		if !write || state == l1Modified {
-			l1.touch(addr, write)
+	if base, line := l1.find(addr); line >= 0 {
+		if !write || l1.state[line] == l1Modified {
+			l1.touch(base, line, write)
 			h.stats.L1Hits++
 			h.mx.l1Hits.Inc()
 			return now + uint64(h.cfg.L1HitCycles)
@@ -238,9 +245,10 @@ func (h *Hierarchy) Access(now uint64, core int, addr uint64, write bool) uint64
 		h.stats.UpgradeMisses++
 		h.mx.l1Hits.Inc()
 		bank := h.bankOf(addr)
-		h.invalidatePeers(addr, core)
-		h.l2.recordL1(addr, core, true)
-		l1.touch(addr, true)
+		_, l2line := h.l2.find(addr)
+		h.invalidatePeers(addr, l2line, core)
+		h.l2.recordL1(l2line, core, true)
+		l1.touch(base, line, true)
 		return now + uint64(h.cfg.L1HitCycles+h.model.TagProbeCycles(bank))
 	}
 	h.stats.L1Misses++
@@ -261,8 +269,16 @@ func (h *Hierarchy) bankOf(addr uint64) int {
 }
 
 // fetchFromL2 brings the block to the requesting core's L1.
+//
+// One directory lookup serves the whole fetch: until the miss path
+// allocates, nothing here changes which blocks the L2 holds (transfers,
+// L1 invalidations and sharer updates leave the tags alone), so the line
+// found on entry stays valid.
+//
+//desclint:hotpath
 func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) uint64 {
 	bank := h.bankOf(addr)
+	base, line := h.l2.find(addr)
 
 	// MSHR merge: a request for a block already in flight piggybacks on
 	// the outstanding access instead of issuing another one.
@@ -270,9 +286,9 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 		if done > now {
 			h.stats.MSHRMerges++
 			h.mx.mshrMerges.Inc()
-			h.l2.recordL1(addr, core, write)
+			h.l2.recordL1(line, core, write)
 			if write {
-				h.invalidatePeers(addr, core)
+				h.invalidatePeers(addr, line, core)
 			}
 			return done
 		}
@@ -281,7 +297,7 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 
 	// Coherence: if a peer L1 holds the line Modified, it is written
 	// back through the H-tree first (one L2 write transfer).
-	if owner := h.l2.dirtyOwner(addr); owner >= 0 && owner != core {
+	if owner := h.l2.dirtyOwner(line); owner >= 0 && owner != core {
 		h.l1[owner].invalidate(addr)
 		h.stats.Invalidations++
 		h.stats.L1WritebacksToL2++
@@ -289,11 +305,13 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 		now = h.l2Transfer(now, bank, addr, true)
 	}
 	if write {
-		h.invalidatePeers(addr, core)
+		h.invalidatePeers(addr, line, core)
 	}
 
-	if h.l2.lookup(addr) {
-		if h.l2.clearPrefetched(addr) {
+	if line >= 0 {
+		h.l2.promote(base, line)
+		if h.l2.prefetched[line] {
+			h.l2.prefetched[line] = false
 			h.stats.PrefetchHits++
 			h.mx.prefetchHits.Inc()
 		}
@@ -302,7 +320,7 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 		done := h.l2Transfer(now, bank, addr, false)
 		h.stats.HitLatencySumCycles += done - now
 		h.stats.HitCount++
-		h.l2.recordL1(addr, core, write)
+		h.l2.recordL1(line, core, write)
 		h.inflight[addr] = done
 		return done
 	}
@@ -317,7 +335,7 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 		h.prefetch(probeDone, addr+uint64(h.model.BlockBytes()))
 	}
 
-	victim, victimDirty := h.l2.allocate(addr)
+	line, victim, victimDirty := h.l2.allocate(addr)
 	if victimDirty {
 		h.stats.L2Writebacks++
 		h.mx.l2Writebacks.Inc()
@@ -328,7 +346,7 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 	}
 	// Install the fill in the arrays through the H-tree.
 	fillDone := h.l2Transfer(memDone, bank, addr, true)
-	h.l2.recordL1(addr, core, write)
+	h.l2.recordL1(line, core, write)
 	h.inflight[addr] = fillDone
 	return fillDone
 }
@@ -337,14 +355,15 @@ func (h *Hierarchy) fetchFromL2(now uint64, core int, addr uint64, write bool) u
 // and an H-tree fill whose occupancy and energy are charged, but on which
 // nobody waits.
 func (h *Hierarchy) prefetch(now uint64, addr uint64) {
-	if h.l2.lookup(addr) {
+	if base, line := h.l2.find(addr); line >= 0 {
+		h.l2.promote(base, line)
 		return
 	}
 	if _, ok := h.inflight[addr]; ok {
 		return
 	}
 	memDone := h.dram.Access(now, addr, false)
-	victim, victimDirty := h.l2.allocate(addr)
+	line, victim, victimDirty := h.l2.allocate(addr)
 	if victimDirty {
 		h.stats.L2Writebacks++
 		h.mx.l2Writebacks.Inc()
@@ -353,7 +372,7 @@ func (h *Hierarchy) prefetch(now uint64, addr uint64) {
 	}
 	bank := h.bankOf(addr)
 	fillDone := h.l2Transfer(memDone, bank, addr, true)
-	h.l2.markPrefetched(addr)
+	h.l2.prefetched[line] = true
 	h.inflight[addr] = fillDone
 	h.stats.PrefetchFills++
 	h.mx.prefetchFills.Inc()
@@ -386,8 +405,9 @@ func (h *Hierarchy) writebackToL2(now uint64, addr uint64) {
 	h.l2.markDirty(addr)
 }
 
-// invalidatePeers removes all other L1 copies of addr.
-func (h *Hierarchy) invalidatePeers(addr uint64, except int) {
+// invalidatePeers removes all other L1 copies of addr, whose L2 line
+// (-1 when absent) is line.
+func (h *Hierarchy) invalidatePeers(addr uint64, line, except int) {
 	for c, l1 := range h.l1 {
 		if c == except {
 			continue
@@ -397,7 +417,7 @@ func (h *Hierarchy) invalidatePeers(addr uint64, except int) {
 			h.mx.invalidations.Inc()
 		}
 	}
-	h.l2.clearSharers(addr, except)
+	h.l2.clearSharers(line, except)
 }
 
 // AvgHitLatencyCycles returns the average L2 hit latency in cycles (Figure 21).

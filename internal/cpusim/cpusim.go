@@ -16,7 +16,6 @@
 package cpusim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -141,22 +140,62 @@ type coreState struct {
 	now  uint64
 	ctxs []*hwContext
 	done bool
+	// ready is stepCore's scratch list of the quantum's ready contexts,
+	// reused across quanta.
+	ready []*hwContext
 }
 
-// coreHeap orders cores by local time so the globally earliest core steps
-// next.
+// coreHeap is a min-heap of cores by local time, so the globally earliest
+// core steps next. Its sift operations are container/heap's, comparison
+// for comparison, so cores with equal local times step in the same order
+// as they would under container/heap.
 type coreHeap []*coreState
 
-func (h coreHeap) Len() int            { return len(h) }
-func (h coreHeap) Less(i, j int) bool  { return h[i].now < h[j].now }
-func (h coreHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *coreHeap) Push(x interface{}) { *h = append(*h, x.(*coreState)) }
-func (h *coreHeap) Pop() interface{} {
+// init establishes the heap order (container/heap.Init).
+func (h coreHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+// pop removes the root (container/heap.Pop).
+func (h *coreHeap) pop() {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	old[n] = nil
+	*h = old[:n]
+}
+
+// fixRoot restores the order after the root's time grew
+// (container/heap.Fix at index 0; a root can only move down).
+//
+//desclint:hotpath
+func (h coreHeap) fixRoot() {
+	h.down(0, len(h))
+}
+
+// down sifts element i down within h[:n] (container/heap's down).
+//
+//desclint:hotpath
+func (h coreHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].now < h[j1].now {
+			j = j2 // right child
+		}
+		if !(h[j].now < h[i].now) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // Run executes the workload on the configured processor over the given
@@ -195,7 +234,11 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 
 	cores := make(coreHeap, 0, cfg.Cores)
 	for coreID := 0; coreID < cfg.Cores; coreID++ {
-		cs := &coreState{id: coreID, ctxs: make([]*hwContext, cfg.ContextsPerCore)}
+		cs := &coreState{
+			id:    coreID,
+			ctxs:  make([]*hwContext, cfg.ContextsPerCore),
+			ready: make([]*hwContext, 0, cfg.ContextsPerCore),
+		}
 		for i := range cs.ctxs {
 			id := coreID*cfg.ContextsPerCore + i
 			c := &hwContext{
@@ -208,11 +251,11 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 		}
 		cores = append(cores, cs)
 	}
-	heap.Init(&cores)
+	cores.init()
 
 	var finish uint64
 	steps, published := uint64(0), uint64(0)
-	for ; cores.Len() > 0; steps++ {
+	for ; len(cores) > 0; steps++ {
 		if steps&ctxCheckMask == 0 {
 			pollCtr.Inc()
 			// Publish quanta progress at poll granularity so a long run
@@ -231,9 +274,9 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 			if cs.now > finish {
 				finish = cs.now
 			}
-			heap.Pop(&cores)
+			cores.pop()
 		} else {
-			heap.Fix(&cores, 0)
+			cores.fixRoot()
 		}
 	}
 	quantaCtr.Add(steps - published) // final partial poll window
@@ -246,9 +289,11 @@ func RunWith(ctx context.Context, cfg Config, h *cachesim.Hierarchy, src StreamS
 // stepCore advances one core by a single scheduling quantum: a fluid
 // execution advance to the next context event, followed by issuing any
 // memory operations that became due.
+//
+//desclint:hotpath
 func stepCore(cfg Config, cs *coreState, h *cachesim.Hierarchy, res *Result) {
 	// Partition contexts into ready and blocked.
-	var ready []*hwContext
+	ready := cs.ready[:0]
 	nextUnblock := ^uint64(0)
 	active := false
 	for _, c := range cs.ctxs {
@@ -262,6 +307,7 @@ func stepCore(cfg Config, cs *coreState, h *cachesim.Hierarchy, res *Result) {
 			nextUnblock = c.blocked
 		}
 	}
+	cs.ready = ready
 	if !active {
 		cs.done = true
 		return

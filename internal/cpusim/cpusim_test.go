@@ -1,7 +1,9 @@
 package cpusim
 
 import (
+	"container/heap"
 	"context"
+	"math/rand"
 	"testing"
 
 	"desc/internal/cachemodel"
@@ -166,5 +168,100 @@ func TestHierarchyStatsPropagate(t *testing.T) {
 	}
 	if res.Hierarchy != h.Stats() {
 		t.Error("result stats diverge from hierarchy stats")
+	}
+}
+
+// heapRef adapts coreHeap to container/heap, the reference order the
+// typed heap must reproduce.
+type heapRef []*coreState
+
+func (h heapRef) Len() int            { return len(h) }
+func (h heapRef) Less(i, j int) bool  { return h[i].now < h[j].now }
+func (h heapRef) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *heapRef) Push(x interface{}) { *h = append(*h, x.(*coreState)) }
+func (h *heapRef) Pop() interface{} {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestCoreHeapMatchesContainerHeap: the typed core heap steps cores in
+// exactly container/heap's order, ties included, so the scheduler's
+// interleaving of cores with equal local times is unchanged.
+func TestCoreHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(8)
+		var got coreHeap
+		var want heapRef
+		for i := 0; i < n; i++ {
+			now := uint64(rng.Intn(4)) // few distinct times: many ties
+			got = append(got, &coreState{id: i, now: now})
+			want = append(want, &coreState{id: i, now: now})
+		}
+		got.init()
+		heap.Init(&want)
+		for step := 0; len(got) > 0; step++ {
+			if len(got) != len(want) || got[0].id != want[0].id {
+				t.Fatalf("trial %d step %d: root core %d, container/heap %d", trial, step, got[0].id, want[0].id)
+			}
+			if rng.Intn(6) == 0 {
+				got.pop()
+				heap.Pop(&want)
+				continue
+			}
+			d := uint64(rng.Intn(3))
+			got[0].now += d
+			want[0].now += d
+			got.fixRoot()
+			heap.Fix(&want, 0)
+		}
+		if len(want) != 0 {
+			t.Fatalf("trial %d: typed heap emptied with %d cores left in container/heap", trial, len(want))
+		}
+	}
+}
+
+// cyclicSource replays a fixed ring of block addresses, so after one lap
+// the hierarchy has seen every block and holds steady-state state.
+type cyclicSource struct {
+	base uint64
+	i    int
+}
+
+func (s *cyclicSource) Next() workload.Access {
+	s.i++
+	return workload.Access{Addr: s.base + uint64(s.i%256)*64, Write: s.i%5 == 0, Gap: 3}
+}
+
+// TestStepCoreZeroAllocs pins the scheduler's quantum at zero
+// allocations once the hierarchy has warmed up.
+func TestStepCoreZeroAllocs(t *testing.T) {
+	h, _ := system(t, "desc-zero", 128)
+	cfg := Config{InstrPerContext: 1 << 40}.WithDefaults()
+	cs := &coreState{ready: make([]*hwContext, 0, cfg.ContextsPerCore)}
+	for i := 0; i < cfg.ContextsPerCore; i++ {
+		src := &cyclicSource{base: uint64(i+1) << 30}
+		c := &hwContext{stream: src, instrLeft: cfg.InstrPerContext}
+		c.pending = src.Next()
+		c.gapLeft = int64(c.pending.Gap)
+		cs.ctxs = append(cs.ctxs, c)
+	}
+	var res Result
+	for i := 0; i < 20_000; i++ {
+		stepCore(cfg, cs, h, &res)
+	}
+	// AllocsPerRun rounds its average down, so each run steps many
+	// quanta: one allocation per quantum must not average out to zero.
+	if a := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 100; i++ {
+			stepCore(cfg, cs, h, &res)
+		}
+	}); a != 0 {
+		t.Errorf("stepCore: %v allocs per 100 quanta after warm-up, want 0", a)
+	}
+	if cs.done {
+		t.Fatal("core finished during the test")
 	}
 }

@@ -1,16 +1,27 @@
 package workload
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"sync"
 )
 
 // chunkBits is the chunk granularity at which value statistics are
 // calibrated (the paper's Figures 12/13 use the 4-bit DESC interface).
 const chunkBits = 4
 
-// blockCacheSize is the direct-mapped cache of generated blocks inside the
-// generator; the simulator refetches hot blocks constantly.
-const blockCacheSize = 65536
+// Block geometry: a 64-byte block is eight 64-bit words of 16 chunks.
+const (
+	chunksPerWord = 64 / chunkBits
+	wordsPerBlock = 8
+)
+
+// blockCacheSize is the slot count of the generator's direct-mapped cache
+// of generated blocks. Almost every miss is compulsory: on a 22-simulation
+// sample of the quick plan, 16,384 slots missed 601.3k times, 65,536 slots
+// 595.4k and 1,048,576 slots 594.5k, so a larger cache buys under 1% of
+// the misses while NewGenerator pays to clear it on every run.
+const blockCacheSize = 16384
 
 // Generator produces deterministic block contents and per-context access
 // streams for one benchmark profile.
@@ -30,6 +41,10 @@ type Generator struct {
 	// the realized zero marginal matches the profile target; calibrated
 	// at construction.
 	spillCorr float64
+	// p0Lo and p0Hi are the zero-chain entry thresholds of the low and
+	// top-quarter word offsets, and psCond the pattern threshold given a
+	// non-zero chunk; setSpill derives them from spillCorr.
+	p0Lo, p0Hi, psCond uint16
 
 	cacheTags [blockCacheSize]uint64
 	cacheData [blockCacheSize][64]byte
@@ -61,16 +76,57 @@ func NewGenerator(prof Profile, seed int64) *Generator {
 	for i := range g.cacheTags {
 		g.cacheTags[i] = ^uint64(0)
 	}
-	g.calibrateSpill()
+	g.setSpill(memoSpill(g, seed))
 	return g
 }
 
+// spillKey identifies a calibration: the spill correction is a pure
+// function of the profile and the seed.
+type spillKey struct {
+	prof Profile
+	seed int64
+}
+
+// spillMemoCap bounds the memo; a sweep uses a few dozen keys, but trace
+// headers can carry arbitrary seeds.
+const spillMemoCap = 1024
+
+// spillMemo holds the calibrated spill correction per (profile, seed), so
+// the many generators a sweep builds over the same few pairs calibrate
+// once each.
+var spillMemo struct {
+	sync.Mutex
+	m map[spillKey]float64
+}
+
+// memoSpill returns g's spill correction, calibrating on first use of its
+// (profile, seed). Concurrent first uses may both calibrate; they store
+// the same value.
+func memoSpill(g *Generator, seed int64) float64 {
+	key := spillKey{g.prof, seed}
+	spillMemo.Lock()
+	corr, ok := spillMemo.m[key]
+	spillMemo.Unlock()
+	if ok {
+		return corr
+	}
+	corr = calibrateSpill(g)
+	spillMemo.Lock()
+	if spillMemo.m == nil || len(spillMemo.m) >= spillMemoCap {
+		spillMemo.m = make(map[spillKey]float64)
+	}
+	spillMemo.m[key] = corr
+	spillMemo.Unlock()
+	return corr
+}
+
 // calibrateSpill bisects the spill correction until the realized zero
-// fraction matches the profile target. Runs once per generator on a small
-// deterministic sample.
-func (g *Generator) calibrateSpill() {
+// fraction matches the profile target, on a small deterministic sample.
+// It leaves g's spill state at the last probe; the caller installs the
+// result.
+func calibrateSpill(g *Generator) float64 {
 	measure := func(corr float64) float64 {
-		g.spillCorr = corr
+		g.setSpill(corr)
 		zeros, total := 0, 0
 		var buf [64]byte
 		for i := 0; i < 240; i++ {
@@ -94,7 +150,42 @@ func (g *Generator) calibrateSpill() {
 			hi = mid
 		}
 	}
-	g.spillCorr = (lo + hi) / 2
+	return (lo + hi) / 2
+}
+
+// setSpill installs a spill correction and the chain thresholds derived
+// from it.
+//
+// Markov zero chain: P(zero | prev zero) = zeroRunProb, with the entry
+// probability chosen so the stationary marginal equals the profile's
+// ZeroChunkFrac. Conditional on non-zero, the pattern probability rescales
+// to keep its marginal too. Complement words turn zero chunks into 0xF,
+// diluting the zero marginal; the draw probability compensates so the
+// measured zero fraction still meets the profile target.
+func (g *Generator) setSpill(corr float64) {
+	g.spillCorr = corr
+	pz := g.prof.ZeroChunkFrac / (1 - wordComplProb)
+	if pz > 0.9 {
+		pz = 0.9
+	}
+	// Per-offset chain entry probabilities targeting the split zero
+	// marginals: p0 = pz(1-qz)/(1-pz) for each offset group. Zero runs
+	// spill across offset groups, lifting the realized marginal above the
+	// per-offset entry targets; the calibrated correction compensates.
+	pzLo, pzHi := zeroSplit(pz * corr)
+	entry := func(p float64) uint16 {
+		e := p * (1 - zeroRunProb) / (1 - p)
+		if e >= 1 {
+			return 65535
+		}
+		return uint16(e * 65536)
+	}
+	g.p0Lo, g.p0Hi = entry(pzLo), entry(pzHi)
+	psCondf := float64(g.sharedThresh-g.zeroThresh) / 65536 / (1 - pz)
+	g.psCond = 65535
+	if psCondf < 1 {
+		g.psCond = uint16(psCondf * 65536)
+	}
 }
 
 // Profile returns the generator's benchmark profile.
@@ -252,9 +343,10 @@ var (
 )
 
 // FillBlockData is BlockData into a caller-provided 64-byte buffer,
-// avoiding allocation on hot simulator paths. Each 64-bit hash yields two
-// chunks (two 16-bit draws each: the zero-chain draw and the value draw),
-// and hot blocks come from a small internal cache.
+// avoiding allocation on hot simulator paths. Blocks already generated
+// come from a small internal cache.
+//
+//desclint:hotpath
 func (g *Generator) FillBlockData(addr uint64, block []byte) {
 	addr &^= 63
 	slot := (addr >> 6) % blockCacheSize
@@ -265,88 +357,71 @@ func (g *Generator) FillBlockData(addr uint64, block []byte) {
 	copy(block, g.cacheData[slot][:])
 }
 
-// genBlock synthesizes the block at addr into buf.
+// genBlock synthesizes the block at addr into buf, one 64-bit word at a
+// time. Chunk c is the nibble at bit 4*(c%16) of word c/16, and words are
+// stored little-endian, so chunk c sits in byte c/2 (low nibble for even
+// c). Each word after the first is decided by its own draw: repeat the
+// previous word, complement it, or draw fresh chunks.
+//
+//desclint:hotpath
 func (g *Generator) genBlock(addr uint64, buf *[64]byte) {
-	const chunksPerBlock = 512 / chunkBits
-	const chunksPerWord = 64 / chunkBits
-
-	// Markov zero chain: P(zero | prev zero) = zeroRunProb, with the
-	// entry probability chosen so the stationary marginal equals the
-	// profile's ZeroChunkFrac. Conditional on non-zero, the pattern
-	// probability rescales to keep its marginal too.
-	// Complement words turn zero chunks into 0xF, diluting the zero
-	// marginal; the draw probability compensates so the measured zero
-	// fraction still meets the profile target.
-	pz := g.prof.ZeroChunkFrac / (1 - wordComplProb)
-	if pz > 0.9 {
-		pz = 0.9
-	}
-	qz := zeroRunThresh
-	// Per-offset chain entry probabilities targeting the split zero
-	// marginals: p0 = pz(1-qz)/(1-pz) for each offset group.
-	// Zero runs spill across offset groups, lifting the realized
-	// marginal above the per-offset entry targets; the calibrated
-	// correction compensates.
-	pzLo, pzHi := zeroSplit(pz * g.spillCorr)
-	entry := func(p float64) uint16 {
-		e := p * (1 - zeroRunProb) / (1 - p)
-		if e >= 1 {
-			return 65535
-		}
-		return uint16(e * 65536)
-	}
-	p0Lo, p0Hi := entry(pzLo), entry(pzHi)
-	psCondf := float64(g.sharedThresh-g.zeroThresh) / 65536 / (1 - pz)
-	psCond := uint16(65535)
-	if psCondf < 1 {
-		psCond = uint16(psCondf * 65536)
-	}
-
-	prevZero := false
-	for c := 0; c < chunksPerBlock; c++ {
-		// Word structure: decided once per word from its own draw —
-		// repeat the previous word, complement it, or draw fresh.
-		if c%chunksPerWord == 0 && c > 0 {
-			wh := mix(g.seed ^ mix(addr+uint64(c)*0x9E6C63D0876A9A63))
+	var word uint64
+	for w := 0; w < wordsPerBlock; w++ {
+		c0 := w * chunksPerWord
+		if w > 0 {
+			wh := mix(g.seed ^ mix(addr+uint64(c0)*0x9E6C63D0876A9A63))
 			if d := uint16(wh); d < wordComplThresh {
-				if d < wordRepeatThresh {
-					copy(buf[c/2:c/2+8], buf[c/2-8:c/2])
-				} else {
-					for i := 0; i < 8; i++ {
-						buf[c/2+i] = ^buf[c/2-8+i]
-					}
+				if d >= wordRepeatThresh {
+					word = ^word
 				}
-				c += chunksPerWord - 1
-				prevZero = buf[(c)/2]>>(4*uint(c%2))&0xF == 0
+				binary.LittleEndian.PutUint64(buf[8*w:], word)
 				continue
 			}
 		}
-		h := mix(g.seed ^ mix(addr+uint64(c)*0x632BE59BD9B4E019))
-		zdraw := uint16(h)
-		vdraw := uint16(h >> 16)
-		var v byte
-		zThresh := p0Lo
-		if c%16 >= 12 {
-			zThresh = p0Hi
+		// The zero chain carries across words: a fresh word's first chunk
+		// follows the previous word's top chunk.
+		word = g.freshWord(addr, c0, w > 0 && word>>60 == 0)
+		binary.LittleEndian.PutUint64(buf[8*w:], word)
+	}
+}
+
+// freshWord draws the 16 chunks of the word starting at chunk c0. Each
+// chunk's 64-bit hash yields its two 16-bit draws: the zero-chain draw
+// and the value draw. The hashes do not depend on the chain, so they are
+// computed first, in a branch-free loop; the chain then walks them in
+// order.
+//
+//desclint:hotpath
+func (g *Generator) freshWord(addr uint64, c0 int, prevZero bool) uint64 {
+	var h [chunksPerWord]uint64
+	for i := range h {
+		h[i] = mix(g.seed ^ mix(addr+uint64(c0+i)*0x632BE59BD9B4E019))
+	}
+	pat := g.patterns[c0 : c0+chunksPerWord]
+	var word uint64
+	for i := range h {
+		hi := h[i]
+		zThresh := g.p0Lo
+		if i >= 12 {
+			zThresh = g.p0Hi
 		}
 		if prevZero {
-			zThresh = qz
+			zThresh = zeroRunThresh
 		}
-		switch {
-		case zdraw < zThresh:
-			v = 0
-		case vdraw < psCond:
-			v = g.patterns[c]
-		default:
+		prevZero = uint16(hi) < zThresh
+		if prevZero {
+			continue
+		}
+		// Patterns and low nibbles are never zero, so a chunk is zero
+		// exactly when the chain draw says so.
+		vdraw := uint16(hi >> 16)
+		v := pat[i]
+		if vdraw >= g.psCond {
 			v = lowNibble(vdraw)
 		}
-		prevZero = v == 0
-		if c%2 == 0 {
-			buf[c/2] = v
-		} else {
-			buf[c/2] |= v << 4
-		}
+		word |= uint64(v) << (chunkBits * i)
 	}
+	return word
 }
 
 // Access is one memory reference of a context's stream.
@@ -432,7 +507,7 @@ func (s *Stream) privateBase() uint64 {
 
 // Next produces the context's next memory reference.
 func (s *Stream) Next() Access {
-	p := s.g.prof
+	p := &s.g.prof
 	var a Access
 	// Geometric-ish gap with the profile's memory intensity.
 	if s.meanGap > 0 {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"desc/internal/stats"
@@ -296,4 +297,46 @@ func TestStructuralProperties(t *testing.T) {
 	if fifteen == 0 {
 		t.Error("no 0xF chunks despite complement words")
 	}
+}
+
+// TestFillBlockDataZeroAllocs pins the simulator's block path at zero
+// allocations, both when the block is generated and when it comes from
+// the generator's block cache.
+func TestFillBlockDataZeroAllocs(t *testing.T) {
+	g := NewGenerator(Parallel()[0], 1)
+	buf := make([]byte, 64)
+	addr := uint64(0)
+	if a := testing.AllocsPerRun(100, func() {
+		addr += 64 // a new block every run: a cache miss
+		g.FillBlockData(addr, buf)
+	}); a != 0 {
+		t.Errorf("FillBlockData on a miss: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { g.FillBlockData(addr, buf) }); a != 0 {
+		t.Errorf("FillBlockData on a hit: %v allocs, want 0", a)
+	}
+}
+
+// TestNewGeneratorConcurrent: generators built from several goroutines at
+// once, over shared and distinct (profile, seed) pairs, share the spill
+// memo safely and calibrate to the value a lone generator gets.
+func TestNewGeneratorConcurrent(t *testing.T) {
+	profiles := Parallel()[:4]
+	want := make([]float64, len(profiles))
+	for i, p := range profiles {
+		want[i] = NewGenerator(p, 41).spillCorr
+		forgetSpill(p, 41)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			i := w % len(profiles)
+			if got := NewGenerator(profiles[i], 41).spillCorr; math.Float64bits(got) != math.Float64bits(want[i]) {
+				t.Errorf("%s: concurrent spill correction %v, alone %v", profiles[i].Name, got, want[i])
+			}
+		}(w)
+	}
+	wg.Wait()
 }
