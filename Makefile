@@ -64,6 +64,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzTraceReader        -fuzztime=$(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzGenBlockVsReference -fuzztime=$(FUZZTIME) -run '^$$' ./internal/workload
 	$(GO) test -fuzz=FuzzServeEncodeRequest -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeResult       -fuzztime=$(FUZZTIME) -run '^$$' ./internal/exp
+	$(GO) test -fuzz=FuzzRunCacheEnvelope   -fuzztime=$(FUZZTIME) -run '^$$' ./internal/runcache
 
 ## bench: repository benchmarks (reduced-scale experiment sweeps)
 bench:

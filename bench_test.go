@@ -283,7 +283,8 @@ func benchmarkSchemeGeom(b *testing.B, scheme string, wires, chunkBits, segBits 
 	gen := workload.NewGenerator(workload.Parallel()[0], 1)
 	blocks := make([][]byte, 64)
 	for i := range blocks {
-		blocks[i] = gen.BlockData(uint64(i) * 4096)
+		blocks[i] = make([]byte, 64)
+		gen.FillBlockData(uint64(i)*4096, blocks[i])
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -343,8 +344,9 @@ func benchmarkRecv(b *testing.B, chunkBits int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := workload.NewGenerator(workload.Parallel()[0], 1)
-	ch.Send(gen.BlockData(4096))
+	block := make([]byte, 64)
+	workload.NewGenerator(workload.Parallel()[0], 1).FillBlockData(4096, block)
+	ch.Send(block)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -361,8 +363,8 @@ func BenchmarkCycleAccurateChannel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := workload.NewGenerator(workload.Parallel()[0], 1)
-	block := gen.BlockData(4096)
+	block := make([]byte, 64)
+	workload.NewGenerator(workload.Parallel()[0], 1).FillBlockData(4096, block)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ch.Send(block)
@@ -388,8 +390,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // on the design point: block generation, generator and hierarchy
 // construction, and one hierarchy reference.
 
-// BenchmarkSimGenBlock generates a block that is not in the generator's
-// block cache: every iteration asks for a new address.
+// BenchmarkSimGenBlock generates a block: a plain generator keeps no
+// blocks, and every iteration asks for a new address.
 func BenchmarkSimGenBlock(b *testing.B) {
 	gen := workload.NewGenerator(workload.Parallel()[0], 1)
 	buf := make([]byte, 64)
@@ -397,6 +399,22 @@ func BenchmarkSimGenBlock(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen.FillBlockData(uint64(i)*64, buf)
+	}
+}
+
+// BenchmarkSimFillShared reads a block a sweep's block store already
+// holds, the common case of a simulation's FillBlockData.
+func BenchmarkSimFillShared(b *testing.B) {
+	gen := workload.NewBlocks(workload.Parallel()[0], 1).Generator()
+	buf := make([]byte, 64)
+	const held = 4096
+	for i := 0; i < held; i++ {
+		gen.FillBlockData(uint64(i)*64, buf)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen.FillBlockData(uint64(i%held)*64, buf)
 	}
 }
 
@@ -442,10 +460,11 @@ func BenchmarkSimCachesimNew(b *testing.B) {
 
 // BenchmarkSimHierarchyAccess replays a fixed reference stream, the
 // interleaved first references of Radix's 32 contexts, through one
-// design-point hierarchy; an iteration is one reference.
+// design-point hierarchy whose blocks come from a block store, as in a
+// sweep; an iteration is one reference.
 func BenchmarkSimHierarchyAccess(b *testing.B) {
 	prof, _ := workload.ByName("Radix")
-	gen := workload.NewGenerator(prof, 1)
+	gen := workload.NewBlocks(prof, 1).Generator()
 	const nctx, perCtx = 32, 2048
 	streams := make([]*workload.Stream, nctx)
 	for c := range streams {

@@ -118,8 +118,9 @@ func schemeRoundTrips(blocks int, seed int64) {
 			continue
 		}
 		bad := 0
+		block := make([]byte, 64)
 		for i := 0; i < blocks; i++ {
-			block := gen.BlockData(uint64(i) * 4096)
+			gen.FillBlockData(uint64(i)*4096, block)
 			l.Send(block)
 			// LastDecoded aliases a buffer the next Send overwrites
 			// (link.Decoder); compare before sending again.

@@ -213,7 +213,7 @@ func SimulateContext(ctx context.Context, cfg SystemConfig, benchmark string) (S
 	if cfg.InstrPerContext == 0 {
 		cfg.InstrPerContext = 60_000
 	}
-	gen := workload.NewGenerator(prof, cfg.Seed)
+	gen := workload.NewBlocks(prof, cfg.Seed).Generator()
 	l2 := cachemodel.Config{
 		Scheme:        cfg.Scheme,
 		DataWires:     cfg.DataWires,

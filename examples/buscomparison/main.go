@@ -62,8 +62,10 @@ func main() {
 			log.Fatal(err)
 		}
 		var flips, cycles uint64
+		block := make([]byte, 64)
 		for i := 0; i < *blocks; i++ {
-			c := l.Send(gen.BlockData(uint64(i) * 4096))
+			gen.FillBlockData(uint64(i)*4096, block)
+			c := l.Send(block)
 			flips += c.Flips.Total()
 			cycles += uint64(c.Cycles)
 		}

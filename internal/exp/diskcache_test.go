@@ -387,3 +387,35 @@ func TestShardValidation(t *testing.T) {
 		t.Errorf("NewRunner rejected the unsharded identity: %v", err)
 	}
 }
+
+// FuzzDecodeResult: no payload makes decodeResult panic, and a payload
+// it accepts carries a result that survives an encode/decode round trip.
+func FuzzDecodeResult(f *testing.F) {
+	digest := runKey{spec: BinaryBase(), bench: "CG", seed: 1, instr: 400}.digest()
+	valid, err := encodeResult(digest, RunResult{Bench: "CG", Cycles: 1234, AvgHit: 17.5, AreaMM2: 3.25, LeakageW: 0.5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(digest, valid)
+	f.Add(digest, valid[:len(valid)/2])
+	f.Add(digest, bytes.Replace(valid, []byte(`"version":1`), []byte(`"version":2`), 1))
+	f.Add(digest, bytes.Replace(valid, []byte(`"key"`), []byte(`"keys"`), 1))
+	f.Add("other", valid)
+	f.Add(digest, []byte("null"))
+	f.Add(digest, []byte(`{"version":1,"key":"`+digest+`","result":{"Cycles":-1}}`))
+	f.Add("", []byte{})
+	f.Fuzz(func(t *testing.T, digest string, payload []byte) {
+		res, ok := decodeResult(digest, payload)
+		if !ok {
+			return
+		}
+		again, err := encodeResult(digest, res)
+		if err != nil {
+			t.Fatalf("accepted result does not re-encode: %v", err)
+		}
+		back, ok := decodeResult(digest, again)
+		if !ok || back != res {
+			t.Fatalf("accepted result does not round-trip: %+v vs %+v", back, res)
+		}
+	})
+}

@@ -65,8 +65,10 @@ func runExt02(_ context.Context, r *Runner) ([]*stats.Table, error) {
 		rng := rand.New(rand.NewSource(opt.Seed))
 		words := (schemeSpec.wires + 2 + 63) / 64
 		mask := make([]uint64, words)
+		block := make([]byte, 64)
 		for i := 0; i < blocks; i++ {
-			cost := l.Send(gen.BlockData(uint64(i) * 4096))
+			gen.FillBlockData(uint64(i)*4096, block)
+			cost := l.Send(block)
 			// Spread the transfer's flips across the mask; the
 			// tree only needs the flip count and destination, so
 			// an even spread suffices.

@@ -124,8 +124,9 @@ func runFig12(_ context.Context, r *Runner) ([]*stats.Table, error) {
 	for _, p := range opt.benchmarks() {
 		g := workload.NewGenerator(p, opt.Seed)
 		bh := stats.NewHistogram(16)
+		var block [64]byte
 		for i := 0; i < samples; i++ {
-			block := g.BlockData(uint64(i) * 8192)
+			g.FillBlockData(uint64(i)*8192, block[:])
 			for c := 0; c < 128; c++ {
 				bh.Add(int((block[c/2] >> (4 * uint(c%2))) & 0xF))
 			}

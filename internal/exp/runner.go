@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"desc/internal/cachemodel"
@@ -39,7 +40,7 @@ type Observer interface {
 	RunDone(d Demand, err error)
 }
 
-// call is one singleflight cache entry: the first RunOne for a key
+// call is one singleflight cache entry: the caller that claims a key
 // computes; every other caller waits on done and reads res/err.
 type call struct {
 	done chan struct{}
@@ -53,8 +54,9 @@ type call struct {
 // controlling Runner lifetime.
 //
 // Results are deterministic regardless of worker count or completion
-// order: each run is simulated from its own seeded generator and
-// hierarchy (no shared mutable state), the cache is keyed by the full
+// order: each run is simulated on its own hierarchy, and the one thing
+// runs share, a benchmark's block store, holds the same bytes for an
+// address whichever run generated them; the cache is keyed by the full
 // (spec, benchmark, seed, instructions) tuple, and table rendering
 // happens in the callers' deterministic iteration order.
 type Runner struct {
@@ -63,7 +65,7 @@ type Runner struct {
 	obs  Observer
 
 	// disk, when non-nil, is the persistent content-addressed result
-	// cache (internal/runcache): compute consults it before simulating
+	// cache (internal/runcache): runs consult it before simulating
 	// and writes back after, so repeated sweeps are incremental across
 	// processes and machines.
 	disk *runcache.Store
@@ -82,6 +84,10 @@ type Runner struct {
 
 	// sem bounds concurrently simulating runs to jobs slots.
 	sem chan struct{}
+
+	// onBlocks, when non-nil, sees every block store Execute creates
+	// (a test hook).
+	onBlocks func(*workload.Blocks)
 
 	mu    sync.Mutex
 	calls map[runKey]*call
@@ -207,52 +213,78 @@ func (r *Runner) key(spec SystemSpec, bench string) runKey {
 // calls for the same key join the in-flight computation (singleflight)
 // instead of recomputing it. Failed runs are evicted so a later call can
 // retry; cancellation via ctx returns ctx.Err() without waiting for the
-// underlying simulation.
+// underlying simulation. A simulation RunOne starts reads blocks through
+// a fresh store.
 func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Profile) (RunResult, error) {
 	key := r.key(spec, prof.Name)
-	r.mu.Lock()
-	if c, ok := r.calls[key]; ok {
-		r.mu.Unlock()
+	c, owner := r.claim(key)
+	if !owner {
 		r.mx.cacheJoins.Inc()
-		select {
-		case <-c.done:
-			return c.res, c.err
-		case <-ctx.Done():
-			return RunResult{}, ctx.Err()
-		}
+		return c.wait(ctx)
 	}
-	c := &call{done: make(chan struct{})}
-	r.calls[key] = c
-	r.mu.Unlock()
-
-	r.compute(ctx, key, c, spec, prof)
+	if !r.diskHit(key, c) {
+		r.simulateCall(ctx, key, c, spec, prof, workload.NewBlocks(prof, r.opt.Seed))
+	}
+	r.finish(key, c)
 	return c.res, c.err
 }
 
-// compute simulates key's run inside a worker slot and publishes the
-// outcome on c. On error (including cancellation) the entry is evicted
-// before done closes, so the cache never serves a failure.
-func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSpec, prof workload.Profile) {
-	defer func() {
-		if c.err != nil {
-			r.mu.Lock()
-			delete(r.calls, key)
-			r.mu.Unlock()
-		}
-		close(c.done)
-	}()
-
-	// Disk consult happens inside the singleflight (one reader per key)
-	// but outside the worker semaphore: a hit is a file read and must
-	// not queue behind in-flight simulations.
-	if r.disk != nil {
-		if res, ok := r.diskGet(key); ok {
-			r.mx.diskHits.Inc()
-			c.res = res
-			return
-		}
+// claim returns key's cache entry, inserting an empty one when there is
+// none; owner reports whether the caller inserted it and so must fill
+// it and call finish.
+func (r *Runner) claim(key runKey) (c *call, owner bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c, ok := r.calls[key]; ok {
+		return c, false
 	}
+	c = &call{done: make(chan struct{})}
+	r.calls[key] = c
+	return c, true
+}
 
+// wait returns c's outcome once it is published, or ctx.Err() first if
+// ctx is cancelled.
+func (c *call) wait(ctx context.Context) (RunResult, error) {
+	select {
+	case <-c.done:
+		return c.res, c.err
+	case <-ctx.Done():
+		return RunResult{}, ctx.Err()
+	}
+}
+
+// finish publishes c's outcome. On error (including cancellation) the
+// entry is evicted before done closes, so the cache never serves a
+// failure.
+func (r *Runner) finish(key runKey, c *call) {
+	if c.err != nil {
+		r.mu.Lock()
+		delete(r.calls, key)
+		r.mu.Unlock()
+	}
+	close(c.done)
+}
+
+// diskHit fills c from the disk cache and reports whether it could. The
+// consult happens inside the singleflight (one reader per key) but
+// outside the worker semaphore: a hit is a file read and must not queue
+// behind in-flight simulations.
+func (r *Runner) diskHit(key runKey, c *call) bool {
+	if r.disk == nil {
+		return false
+	}
+	res, ok := r.diskGet(key)
+	if ok {
+		r.mx.diskHits.Inc()
+		c.res = res
+	}
+	return ok
+}
+
+// simulateCall simulates c's run inside a worker slot, reading blocks
+// through blocks, and records the outcome on c (finish publishes it).
+func (r *Runner) simulateCall(ctx context.Context, key runKey, c *call, spec SystemSpec, prof workload.Profile, blocks *workload.Blocks) {
 	select {
 	case r.sem <- struct{}{}:
 		defer func() { <-r.sem }()
@@ -264,10 +296,11 @@ func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSp
 		return
 	}
 	r.mx.runsStarted.Inc()
+	d := Demand{Spec: spec, Bench: prof.Name}
 	if r.obs != nil {
-		r.obs.RunStarted(Demand{Spec: spec, Bench: prof.Name})
+		r.obs.RunStarted(d)
 	}
-	c.res, c.err = simulate(ctx, spec, prof, r.opt, r.reg)
+	c.res, c.err = simulate(ctx, spec, prof, r.opt, r.reg, blocks.Generator())
 	if c.err != nil {
 		r.mx.runsFailed.Inc()
 	} else {
@@ -277,13 +310,13 @@ func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSp
 		}
 	}
 	if r.obs != nil {
-		r.obs.RunDone(Demand{Spec: spec, Bench: prof.Name}, c.err)
+		r.obs.RunDone(d, c.err)
 	}
 }
 
 // Execute simulates every demanded run that is not already cached,
 // deduplicating keys (experiments share baselines by construction, not
-// by memo luck) and fanning the remainder across the worker pool. It
+// by memo luck) and running the remainder on a pool of jobs workers. It
 // returns the first error in demand order, or ctx.Err() when cancelled
 // mid-sweep. Execute only warms the cache; the experiments' Run phases
 // render tables from it afterwards.
@@ -293,11 +326,12 @@ func (r *Runner) compute(ctx context.Context, key runKey, c *call, spec SystemSp
 // occurrence demand order, before any cache state is consulted, so the
 // partition is a pure function of the demand list — and then executes
 // only the entries at plan positions ≡ i (mod n).
+//
+// Simulations of one benchmark share one block store (DESIGN.md §19):
+// the runs are grouped by benchmark, in first-appearance order, and
+// dispatched in that order, so a store is live only while its
+// benchmark's runs are running.
 func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
-	type job struct {
-		demand Demand
-		prof   workload.Profile
-	}
 	seen := map[runKey]bool{}
 	var jobs []job
 	for _, d := range demands {
@@ -323,28 +357,118 @@ func (r *Runner) Execute(ctx context.Context, demands []Demand) error {
 			r.mx.dedupSkips.Inc()
 			continue
 		}
-		jobs = append(jobs, job{demand: d, prof: prof})
+		jobs = append(jobs, job{key: key, spec: d.Spec, prof: prof})
 	}
 	if r.obs != nil {
 		r.obs.ExecutePlanned(len(jobs))
 	}
 
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j job) {
-			defer wg.Done()
-			_, errs[i] = r.RunOne(ctx, j.demand.Spec, j.prof)
-		}(i, j)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	// Claim every entry first; a key another caller claimed since the
+	// scan above is joined, not rerun.
+	var owned []job
+	for i := range jobs {
+		j := &jobs[i]
+		var owner bool
+		if j.c, owner = r.claim(j.key); owner {
+			owned = append(owned, *j)
+		} else {
+			r.mx.cacheJoins.Inc()
 		}
 	}
-	return nil
+	r.dispatch(ctx, groupByBench(r.diskMisses(owned)))
+
+	var first error
+	for _, j := range jobs {
+		if _, err := j.c.wait(ctx); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// job is one run Execute schedules, with its claimed cache entry.
+type job struct {
+	key  runKey
+	spec SystemSpec
+	prof workload.Profile
+	c    *call
+}
+
+// diskMisses consults the disk cache for every job at once, publishes
+// the hits and returns the misses in their original order.
+func (r *Runner) diskMisses(jobs []job) []job {
+	if r.disk == nil {
+		return jobs
+	}
+	hit := make([]bool, len(jobs))
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if hit[i] = r.diskHit(jobs[i].key, jobs[i].c); hit[i] {
+				r.finish(jobs[i].key, jobs[i].c)
+			}
+		}(i)
+	}
+	wg.Wait()
+	var misses []job
+	for i, j := range jobs {
+		if !hit[i] {
+			misses = append(misses, j)
+		}
+	}
+	return misses
+}
+
+// groupByBench stably sorts jobs in place by benchmark: benchmarks in
+// order of first appearance, each benchmark's jobs in their original
+// order.
+func groupByBench(jobs []job) []job {
+	rank := map[string]int{}
+	for _, j := range jobs {
+		if _, ok := rank[j.prof.Name]; !ok {
+			rank[j.prof.Name] = len(rank)
+		}
+	}
+	slices.SortStableFunc(jobs, func(a, b job) int { return rank[a.prof.Name] - rank[b.prof.Name] })
+	return jobs
+}
+
+// dispatch simulates jobs, already grouped by benchmark, in order on a
+// pool of r.jobs workers, and publishes every outcome. Each benchmark
+// gets a fresh block store when its first job is handed out; after its
+// last job is handed out only the workers running its jobs still hold
+// the store, so it becomes garbage when the last of them returns.
+func (r *Runner) dispatch(ctx context.Context, jobs []job) {
+	type task struct {
+		job
+		blocks *workload.Blocks
+	}
+	tasks := make(chan task)
+	var wg sync.WaitGroup
+	for w := 0; w < min(r.jobs, len(jobs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := range tasks {
+				r.simulateCall(ctx, t.key, t.c, t.spec, t.prof, t.blocks)
+				r.finish(t.key, t.c)
+			}
+		}()
+	}
+	var blocks *workload.Blocks
+	for i, j := range jobs {
+		if i == 0 || j.prof.Name != jobs[i-1].prof.Name {
+			blocks = workload.NewBlocks(j.prof, r.opt.Seed)
+			if r.onBlocks != nil {
+				r.onBlocks(blocks)
+			}
+		}
+		tasks <- task{job: j, blocks: blocks}
+	}
+	close(tasks)
+	wg.Wait()
 }
 
 // Run plans and renders one experiment: its declared demand set executes
@@ -359,13 +483,15 @@ func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) 
 	return e.Run(ctx, r)
 }
 
-// simulate performs one full system simulation. It is a pure function of
-// (spec, prof, opt): all state — generator, hierarchy, processor — is
-// freshly constructed per call, which is what makes parallel execution
-// trivially deterministic. reg (may be nil) receives write-only
-// telemetry from every layer and never influences the result.
-func simulate(ctx context.Context, spec SystemSpec, prof workload.Profile, opt Options, reg *metrics.Registry) (RunResult, error) {
-	gen := workload.NewGenerator(prof, opt.Seed)
+// simulate performs one full system simulation of prof, whose blocks and
+// streams come from gen (prof's generator at opt.Seed). It is a pure
+// function of (spec, prof, opt): the hierarchy and processor are freshly
+// constructed per call, and the only state gen may share with other runs
+// is its block store, whose blocks are a pure function of the address,
+// which is what makes parallel execution deterministic. reg (may be nil)
+// receives write-only telemetry from every layer and never influences
+// the result.
+func simulate(ctx context.Context, spec SystemSpec, prof workload.Profile, opt Options, reg *metrics.Registry, gen *workload.Generator) (RunResult, error) {
 	l2 := cachemodel.Config{
 		Scheme:        spec.Scheme,
 		DataWires:     spec.DataWires,

@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -202,5 +203,96 @@ func TestDemandsCoverRun(t *testing.T) {
 				t.Errorf("%s render phase simulated %d undeclared runs", e.ID, extra)
 			}
 		})
+	}
+}
+
+// TestExecuteGeneratesEachBlockOnce: Execute gives each benchmark of its
+// plan one block store, in first-appearance order, and generates every
+// distinct block of a benchmark once however many of its simulations
+// read it. The shared store changes no result: each run equals the same
+// run simulated alone.
+func TestExecuteGeneratesEachBlockOnce(t *testing.T) {
+	opt := Options{Quick: true, InstrPerContext: 1_000, Seed: 3}
+	r := mustRunner(opt, Jobs(1))
+	var stores []*workload.Blocks
+	r.onBlocks = func(b *workload.Blocks) { stores = append(stores, b) }
+	benches := []string{"Radix", "CG", "Art"}
+	specs := []SystemSpec{BinaryBase(), DESCZero()}
+	var demands []Demand
+	for _, s := range specs {
+		for _, b := range benches {
+			demands = append(demands, Demand{Spec: s, Bench: b})
+		}
+	}
+	if err := r.Execute(context.Background(), demands); err != nil {
+		t.Fatal(err)
+	}
+	if len(stores) != len(benches) {
+		t.Fatalf("Execute built %d block stores, want one per benchmark (%d)", len(stores), len(benches))
+	}
+	for i, b := range stores {
+		name := b.Generator().Profile().Name
+		if name != benches[i] {
+			t.Errorf("store %d serves %s, want %s (first-appearance order)", i, name, benches[i])
+		}
+		if b.Len() == 0 {
+			t.Errorf("%s: store holds no blocks", name)
+		}
+		if b.Generated() != b.Len() {
+			t.Errorf("%s: generated %d blocks for %d distinct addresses", name, b.Generated(), b.Len())
+		}
+	}
+
+	alone := mustRunner(opt, Jobs(1))
+	for _, d := range demands {
+		prof, _ := workload.ByName(d.Bench)
+		want, err := alone.RunOne(context.Background(), d.Spec, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.RunOne(context.Background(), d.Spec, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s/%s: result with a shared store differs from the run alone", d.Spec.Scheme, d.Bench)
+		}
+	}
+}
+
+// failureOrder records the schemes of failed runs in completion order.
+type failureOrder struct {
+	mu     sync.Mutex
+	failed []string
+}
+
+func (o *failureOrder) ExecutePlanned(int)  {}
+func (o *failureOrder) RunStarted(d Demand) {}
+func (o *failureOrder) RunDone(d Demand, err error) {
+	if err != nil {
+		o.mu.Lock()
+		o.failed = append(o.failed, d.Spec.Scheme)
+		o.mu.Unlock()
+	}
+}
+
+// TestExecuteFirstErrorInDemandOrder: grouping by benchmark runs a later
+// failing demand first, yet Execute still returns the error of the
+// earliest failing demand.
+func TestExecuteFirstErrorInDemandOrder(t *testing.T) {
+	obs := &failureOrder{}
+	r := mustRunner(Options{Quick: true, InstrPerContext: 400, Seed: 1}, Jobs(1), WithObserver(obs))
+	demands := []Demand{
+		{Spec: BinaryBase(), Bench: "CG"},
+		{Spec: SystemSpec{Scheme: "no-such-scheme-early"}, Bench: "Radix"},
+		{Spec: SystemSpec{Scheme: "no-such-scheme-late"}, Bench: "CG"},
+	}
+	err := r.Execute(context.Background(), demands)
+	if err == nil || !strings.Contains(err.Error(), "no-such-scheme-early") {
+		t.Fatalf("Execute returned %v, want the no-such-scheme-early demand's error", err)
+	}
+	if want := []string{"no-such-scheme-late", "no-such-scheme-early"}; len(obs.failed) != 2 ||
+		obs.failed[0] != want[0] || obs.failed[1] != want[1] {
+		t.Fatalf("failures ran in order %v, want %v: the test no longer exercises grouping", obs.failed, want)
 	}
 }

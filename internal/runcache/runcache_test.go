@@ -329,3 +329,48 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 		t.Fatal("Open accepted an empty directory")
 	}
 }
+
+// FuzzRunCacheEnvelope: no entry file makes Get panic; an entry Get
+// accepts is exactly the envelope of its payload, and every rejected
+// entry counts as corrupt.
+func FuzzRunCacheEnvelope(f *testing.F) {
+	valid := encode([]byte(`{"result": 42}`))
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(encode(nil))
+	f.Add(bytes.Replace(valid, []byte(" 1 "), []byte(" 2 "), 1))
+	f.Add(bytes.Replace(valid, []byte("sha256:"), []byte("sha256:0"), 1))
+	f.Add([]byte(magic + " 1 sha256:00 -1\n"))
+	f.Add([]byte(magic + "\n"))
+	f.Add([]byte{})
+	s, err := Open(f.TempDir(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	k := key("fuzz")
+	path := s.path(k)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := s.Stats()
+		payload, ok := s.Get(k)
+		after := s.Stats()
+		if !ok {
+			if after.Corrupt != before.Corrupt+1 {
+				t.Fatalf("rejected entry %q not counted corrupt", data)
+			}
+			return
+		}
+		if got, want := len(data), len(payload); got < want || !bytes.Equal(data[got-want:], payload) {
+			t.Fatalf("payload %q is not the tail of entry %q", payload, data)
+		}
+		again, ok := decode(encode(payload))
+		if !ok || !bytes.Equal(again, payload) {
+			t.Fatalf("payload %q does not round-trip through encode", payload)
+		}
+	})
+}

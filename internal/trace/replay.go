@@ -64,13 +64,14 @@ func NewReplaySource(r *Reader) (*ReplaySource, error) {
 func (s *ReplaySource) Header() Header { return s.header }
 
 // Generator reconstructs the workload generator the trace was recorded
-// from, for block contents during replay.
+// from, for block contents during replay; it reads blocks through a
+// fresh block store.
 func (s *ReplaySource) Generator() (*workload.Generator, error) {
 	prof, ok := workload.ByName(s.header.Benchmark)
 	if !ok {
 		return nil, fmt.Errorf("trace: unknown benchmark %q in header", s.header.Benchmark)
 	}
-	return workload.NewGenerator(prof, s.header.Seed), nil
+	return workload.NewBlocks(prof, s.header.Seed).Generator(), nil
 }
 
 // Stream implements cpusim.StreamSource. Requesting more contexts than

@@ -16,15 +16,9 @@ const (
 	wordsPerBlock = 8
 )
 
-// blockCacheSize is the slot count of the generator's direct-mapped cache
-// of generated blocks. Almost every miss is compulsory: on a 22-simulation
-// sample of the quick plan, 16,384 slots missed 601.3k times, 65,536 slots
-// 595.4k and 1,048,576 slots 594.5k, so a larger cache buys under 1% of
-// the misses while NewGenerator pays to clear it on every run.
-const blockCacheSize = 16384
-
 // Generator produces deterministic block contents and per-context access
-// streams for one benchmark profile.
+// streams for one benchmark profile. It is immutable after construction,
+// so one generator may serve concurrent simulations.
 type Generator struct {
 	prof Profile
 	seed uint64
@@ -46,8 +40,9 @@ type Generator struct {
 	// non-zero chunk; setSpill derives them from spillCorr.
 	p0Lo, p0Hi, psCond uint16
 
-	cacheTags [blockCacheSize]uint64
-	cacheData [blockCacheSize][64]byte
+	// store, when non-nil, is the block store FillBlockData reads
+	// through; only Blocks.Generator sets it.
+	store *Blocks
 }
 
 // NewGenerator builds a generator. The seed isolates runs; block data and
@@ -73,9 +68,6 @@ func NewGenerator(prof Profile, seed int64) *Generator {
 	}
 	g.zeroThresh = uint16(prof.ZeroChunkFrac * 65536)
 	g.sharedThresh = g.zeroThresh + uint16(g.pShared*65536)
-	for i := range g.cacheTags {
-		g.cacheTags[i] = ^uint64(0)
-	}
 	g.setSpill(memoSpill(g, seed))
 	return g
 }
@@ -272,18 +264,6 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// BlockData returns the 64-byte content of the block at addr. Contents are
-// deterministic, so refetching a block yields identical data; positions
-// draw from {zero, per-position pattern, random nibble} with the profile's
-// calibrated probabilities, so distinct blocks share structure at the same
-// chunk positions — the two mechanisms behind Figures 12 and 13.
-func (g *Generator) BlockData(addr uint64) []byte {
-	addr &^= 63 // block aligned
-	block := make([]byte, 64)
-	g.FillBlockData(addr, block)
-	return block
-}
-
 // Spatial-structure constants, shared by all profiles. Real cache blocks
 // are not chunk-wise independent: zero chunks cluster into zero bytes and
 // words (whole-line zero fills, sparse structures), and adjacent words
@@ -342,19 +322,27 @@ var (
 	wordComplThresh  = fix16(wordRepeatProb + wordComplProb)
 )
 
-// FillBlockData is BlockData into a caller-provided 64-byte buffer,
-// avoiding allocation on hot simulator paths. Blocks already generated
-// come from a small internal cache.
+// FillBlockData writes the 64-byte content of the block containing addr
+// into the caller-provided buffer. Contents are deterministic, so
+// refetching a block yields identical data; positions draw from {zero,
+// per-position pattern, random nibble} with the profile's calibrated
+// probabilities, so distinct blocks share structure at the same chunk
+// positions — the two mechanisms behind Figures 12 and 13. A generator
+// from Blocks.Generator reads through its store; any other generates the
+// block afresh.
 //
 //desclint:hotpath
 func (g *Generator) FillBlockData(addr uint64, block []byte) {
 	addr &^= 63
-	slot := (addr >> 6) % blockCacheSize
-	if g.cacheTags[slot] != addr {
-		g.genBlock(addr, &g.cacheData[slot])
-		g.cacheTags[slot] = addr
+	if g.store != nil && g.store.get(addr, block) {
+		return
 	}
-	copy(block, g.cacheData[slot][:])
+	var buf [64]byte
+	g.genBlock(addr, &buf)
+	copy(block, buf[:])
+	if g.store != nil {
+		g.store.put(addr, &buf)
+	}
 }
 
 // genBlock synthesizes the block at addr into buf, one 64-bit word at a
@@ -568,18 +556,18 @@ func (g *Generator) MeasureValueStats(n int) (zeroFrac, matchFrac float64) {
 	if n < 2 {
 		n = 2
 	}
-	var prev []byte
+	var block, prev [64]byte
 	zeros, matches, chunks, pairs := 0, 0, 0, 0
 	for i := 0; i < n; i++ {
 		addr := mix(g.seed+uint64(i)*104729) % (1 << 30) &^ 63
-		block := g.BlockData(addr)
+		g.FillBlockData(addr, block[:])
 		for c := 0; c < 128; c++ {
 			v := (block[c/2] >> (4 * uint(c%2))) & 0xF
 			if v == 0 {
 				zeros++
 			}
 			chunks++
-			if prev != nil {
+			if i > 0 {
 				pv := (prev[c/2] >> (4 * uint(c%2))) & 0xF
 				if v == pv {
 					matches++
@@ -597,9 +585,10 @@ func (g *Generator) MeasureValueStats(n int) (zeroFrac, matchFrac float64) {
 // reports as "approximately five" (Section 5.3).
 func (g *Generator) MeanChunkValue(n int) float64 {
 	sum, cnt := 0.0, 0
+	var block [64]byte
 	for i := 0; i < n; i++ {
 		addr := mix(g.seed+uint64(i)*15485863) % (1 << 30) &^ 63
-		block := g.BlockData(addr)
+		g.FillBlockData(addr, block[:])
 		for c := 0; c < 128; c++ {
 			v := (block[c/2] >> (4 * uint(c%2))) & 0xF
 			if v != 0 {

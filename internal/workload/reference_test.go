@@ -156,12 +156,15 @@ func allProfiles() []Profile { return append(Parallel(), SPEC()...) }
 
 // TestGenBlockMatchesReference: the word-at-a-time generator produces the
 // frozen generator's bytes for every profile, seed and address, through
-// both genBlock and the cached FillBlockData path.
+// genBlock, a plain generator's FillBlockData, and a store-backed
+// generator's FillBlockData both when it generates the block and when the
+// store already holds it.
 func TestGenBlockMatchesReference(t *testing.T) {
 	addrs := referenceAddrs(4096)
 	for _, p := range allProfiles() {
 		for _, seed := range referenceSeeds {
 			g := NewGenerator(p, seed)
+			shared := NewBlocks(p, seed).Generator()
 			var got, want [64]byte
 			fill := make([]byte, 64)
 			for _, a := range addrs {
@@ -173,6 +176,18 @@ func TestGenBlockMatchesReference(t *testing.T) {
 				g.FillBlockData(a, fill)
 				if string(fill) != string(want[:]) {
 					t.Fatalf("%s seed %d addr %#x: FillBlockData differs from reference", p.Name, seed, a)
+				}
+				shared.FillBlockData(a, fill)
+				if string(fill) != string(want[:]) {
+					t.Fatalf("%s seed %d addr %#x: store-backed FillBlockData differs from reference", p.Name, seed, a)
+				}
+			}
+			// Every block again, now from the filled store.
+			for _, a := range addrs {
+				refGenBlock(g, a, &want)
+				shared.FillBlockData(a, fill)
+				if string(fill) != string(want[:]) {
+					t.Fatalf("%s seed %d addr %#x: stored block differs from reference", p.Name, seed, a)
 				}
 			}
 		}

@@ -54,21 +54,26 @@ func TestByName(t *testing.T) {
 // content, and different addresses differ.
 func TestBlockDataDeterministic(t *testing.T) {
 	g := NewGenerator(Parallel()[0], 1)
-	a := g.BlockData(0x1000)
-	b := g.BlockData(0x1000)
+	block := func(addr uint64) []byte {
+		buf := make([]byte, 64)
+		g.FillBlockData(addr, buf)
+		return buf
+	}
+	a := block(0x1000)
+	b := block(0x1000)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same address produced different data")
 		}
 	}
 	// Address is block aligned internally.
-	c := g.BlockData(0x1001)
+	c := block(0x1001)
 	for i := range a {
 		if a[i] != c[i] {
 			t.Fatal("sub-block address bits changed data")
 		}
 	}
-	d := g.BlockData(0x2000)
+	d := block(0x2000)
 	same := true
 	for i := range a {
 		if a[i] != d[i] {
@@ -236,8 +241,9 @@ func TestStructuralProperties(t *testing.T) {
 		complWords          int
 		fifteen, chunks     int
 	)
+	var block [64]byte
 	for b := 0; b < 500; b++ {
-		block := g.BlockData(uint64(b) * 4096)
+		g.FillBlockData(uint64(b)*4096, block[:])
 		var prev [8]byte
 		for w := 0; w < 8; w++ {
 			cur := block[w*8 : w*8+8]
@@ -299,9 +305,8 @@ func TestStructuralProperties(t *testing.T) {
 	}
 }
 
-// TestFillBlockDataZeroAllocs pins the simulator's block path at zero
-// allocations, both when the block is generated and when it comes from
-// the generator's block cache.
+// TestFillBlockDataZeroAllocs pins a plain generator's block path at zero
+// allocations, for a new block and for a repeated one.
 func TestFillBlockDataZeroAllocs(t *testing.T) {
 	g := NewGenerator(Parallel()[0], 1)
 	buf := make([]byte, 64)
@@ -314,6 +319,71 @@ func TestFillBlockDataZeroAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { g.FillBlockData(addr, buf) }); a != 0 {
 		t.Errorf("FillBlockData on a hit: %v allocs, want 0", a)
+	}
+}
+
+// TestBlocksHitZeroAllocs pins a store hit at zero allocations
+// (TestFillBlockDataZeroAllocs pins a plain generator).
+func TestBlocksHitZeroAllocs(t *testing.T) {
+	const held = storePageBlocks * storeShards
+	g := NewBlocks(Parallel()[0], 1).Generator()
+	buf := make([]byte, 64)
+	for i := uint64(0); i < held; i++ {
+		g.FillBlockData(i*64, buf)
+	}
+	i := uint64(0)
+	if a := testing.AllocsPerRun(100, func() {
+		i = (i + 1) % held
+		g.FillBlockData(i*64, buf)
+	}); a != 0 {
+		t.Errorf("FillBlockData on a store hit: %v allocs, want 0", a)
+	}
+}
+
+// TestBlocksConcurrentFill: goroutines filling overlapping address sets
+// through one store (run it under -race) all read genBlock's bytes, and
+// the store ends up holding each address exactly once.
+func TestBlocksConcurrentFill(t *testing.T) {
+	p, _ := ByName("CG")
+	const seed, workers, perWorker = 5, 4, 3000
+	store := NewBlocks(p, seed)
+	ref := NewGenerator(p, seed)
+	// Worker w covers blocks [w*perWorker/2, w*perWorker/2+perWorker):
+	// each half of a worker's range overlaps a neighbour's.
+	addrOf := func(w, i int) uint64 { return uint64(w*perWorker/2+i) * 64 }
+	var wg sync.WaitGroup
+	errs := make([]int, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			gen := store.Generator()
+			buf := make([]byte, 64)
+			var want [64]byte
+			for pass := 0; pass < 2; pass++ {
+				for i := 0; i < perWorker; i++ {
+					a := addrOf(w, i)
+					gen.FillBlockData(a, buf)
+					ref.genBlock(a, &want)
+					if string(buf) != string(want[:]) {
+						errs[w]++
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, n := range errs {
+		if n != 0 {
+			t.Errorf("worker %d read %d blocks that differ from genBlock's", w, n)
+		}
+	}
+	distinct := (workers-1)*perWorker/2 + perWorker
+	if n := store.Len(); n != distinct {
+		t.Errorf("store holds %d blocks, want %d distinct addresses", n, distinct)
+	}
+	if n := store.Generated(); n < distinct || n > workers*perWorker {
+		t.Errorf("store generated %d blocks, want between %d and %d", n, distinct, workers*perWorker)
 	}
 }
 
