@@ -418,6 +418,26 @@ func BenchmarkSimFillShared(b *testing.B) {
 	}
 }
 
+// BenchmarkSimFillSharedParallel reads one filled block store from
+// GOMAXPROCS goroutines at once, as a sweep's workers do. A hit writes no
+// shared memory, so its cost should stay near BenchmarkSimFillShared's.
+func BenchmarkSimFillSharedParallel(b *testing.B) {
+	gen := workload.NewBlocks(workload.Parallel()[0], 1).Generator()
+	const held = 32768
+	buf := make([]byte, 64)
+	for i := 0; i < held; i++ {
+		gen.FillBlockData(uint64(i)*64, buf)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		buf := make([]byte, 64)
+		for i := 0; pb.Next(); i++ {
+			gen.FillBlockData(uint64(i*7919%held)*64, buf)
+		}
+	})
+}
+
 // BenchmarkSimNewGenerator builds the generators of the quick profiles in
 // turn, as a sweep does for every simulation.
 func BenchmarkSimNewGenerator(b *testing.B) {

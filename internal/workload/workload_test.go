@@ -325,7 +325,7 @@ func TestFillBlockDataZeroAllocs(t *testing.T) {
 // TestBlocksHitZeroAllocs pins a store hit at zero allocations
 // (TestFillBlockDataZeroAllocs pins a plain generator).
 func TestBlocksHitZeroAllocs(t *testing.T) {
-	const held = storePageBlocks * storeShards
+	const held = 4 * storeMinSlots
 	g := NewBlocks(Parallel()[0], 1).Generator()
 	buf := make([]byte, 64)
 	for i := uint64(0); i < held; i++ {
