@@ -5,10 +5,13 @@
 // same rows/series the paper plots, as stats.Table values.
 //
 // Experiments execute in two phases through a Runner (runner.go): a
-// planning phase in which each experiment declares the (configuration,
-// benchmark) runs it demands, and an execution phase in which the Runner
+// planning phase that collects the (configuration, benchmark) runs each
+// experiment demands, and an execution phase in which the Runner
 // simulates the deduplicated demand set on a bounded worker pool before
-// the experiments render their tables from the warmed cache.
+// the experiments render their tables from the warmed cache. An
+// experiment's plan is not declared by hand: it is recorded by running
+// the experiment's own Run once against a Runner whose RunOne notes each
+// request and returns a placeholder result.
 //
 // The cmd/descbench binary runs every experiment and writes markdown/CSV;
 // the repository-root benchmarks run them at reduced scale.
@@ -180,12 +183,13 @@ type Experiment struct {
 	ID string
 	// Title describes the figure as the paper captions it.
 	Title string
-	// Demands declares the (configuration, benchmark) runs the Run
-	// phase will need, so the Runner can batch them, deduplicate them
-	// across experiments, and execute them in parallel up front. Nil
-	// for experiments that do not simulate full systems. The declared
-	// set must cover every run the Run phase performs (enforced by
-	// TestDemandsCoverRun).
+	// Demands returns the distinct (configuration, benchmark) runs the
+	// Run phase will need, in the order Run first asks for them, so the
+	// Runner can batch them, deduplicate them across experiments, and
+	// execute them in parallel up front. It is derived, never written
+	// by hand: it records Run against a Runner that simulates nothing
+	// (registerSim). Nil for experiments that do not simulate full
+	// systems.
 	Demands func(opt Options) []Demand
 	// Run renders the result tables, reading demanded runs from the
 	// Runner's cache (and computing any stragglers inline).
@@ -206,6 +210,16 @@ func register(e Experiment) {
 	}
 	indexed[e.ID] = e
 	registry = append(registry, e)
+}
+
+// registerSim installs an experiment whose Run simulates through
+// RunOne, deriving its Demands from Run itself.
+func registerSim(e Experiment) {
+	run := e.Run
+	e.Demands = func(opt Options) []Demand {
+		return recordRuns(&Runner{opt: opt.WithDefaults()}, run)
+	}
+	register(e)
 }
 
 // All returns every experiment in figure order.

@@ -8,38 +8,12 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	registerSim(Experiment{
 		ID: "ext03",
 		Title: "Table E3 (extension): next-line L2 prefetching under " +
 			"binary and DESC transfer",
-		Demands: demandsExt03,
-		Run:     runExt03,
+		Run: runExt03,
 	})
-}
-
-// ext03Specs are the four prefetch/scheme combinations; the first doubles
-// as the normalization baseline.
-func ext03Specs() []struct {
-	label string
-	spec  SystemSpec
-} {
-	return []struct {
-		label string
-		spec  SystemSpec
-	}{
-		{"Binary", BinaryBase()},
-		{"Binary + prefetch", func() SystemSpec { s := BinaryBase(); s.Prefetch = true; return s }()},
-		{"DESC-zero", DESCZero()},
-		{"DESC-zero + prefetch", func() SystemSpec { s := DESCZero(); s.Prefetch = true; return s }()},
-	}
-}
-
-func demandsExt03(opt Options) []Demand {
-	var specs []SystemSpec
-	for _, sp := range ext03Specs() {
-		specs = append(specs, sp.spec)
-	}
-	return demandsOver(opt.benchmarks(), specs...)
 }
 
 // runExt03 studies an interaction the paper leaves open: prefetching adds
@@ -50,7 +24,17 @@ func demandsExt03(opt Options) []Demand {
 func runExt03(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Extension: next-line prefetching x transfer scheme (normalized to binary, no prefetch)",
 		"Configuration", "Execution time", "L2 energy", "Energy-delay")
-	for _, sp := range ext03Specs() {
+	// The first configuration is the normalization baseline itself.
+	configs := []struct {
+		label string
+		spec  SystemSpec
+	}{
+		{"Binary", BinaryBase()},
+		{"Binary + prefetch", func() SystemSpec { s := BinaryBase(); s.Prefetch = true; return s }()},
+		{"DESC-zero", DESCZero()},
+		{"DESC-zero + prefetch", func() SystemSpec { s := DESCZero(); s.Prefetch = true; return s }()},
+	}
+	for _, sp := range configs {
 		var times, l2s []float64
 		for _, p := range r.Options().benchmarks() {
 			base, err := r.RunOne(ctx, BinaryBase(), p)

@@ -8,28 +8,12 @@ import (
 )
 
 func init() {
-	register(Experiment{
+	registerSim(Experiment{
 		ID: "ext01",
 		Title: "Table E1 (extension): adaptive skip-value detection " +
 			"(the runtime technique considered and rejected in Section 3.3)",
-		Demands: demandsExt01,
-		Run:     runExt01,
+		Run: runExt01,
 	})
-}
-
-// ext01Specs are the three skip policies under comparison.
-func ext01Specs() []SystemSpec {
-	return []SystemSpec{
-		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4},
-		{Scheme: "desc-last", DataWires: 128, ChunkBits: 4},
-		{Scheme: "desc-adaptive", DataWires: 128, ChunkBits: 4},
-	}
-}
-
-// demandsExt01: the three skip policies plus the binary reference l2Norm
-// divides by, over the benchmark roster.
-func demandsExt01(opt Options) []Demand {
-	return demandsOver(opt.benchmarks(), append([]SystemSpec{BinaryBase()}, ext01Specs()...)...)
 }
 
 // runExt01 implements the adaptive frequent-value detector the paper
@@ -39,7 +23,11 @@ func demandsExt01(opt Options) []Demand {
 // experiment reproduces that comparison against zero and last-value
 // skipping.
 func runExt01(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	specs := ext01Specs()
+	specs := []SystemSpec{
+		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4},
+		{Scheme: "desc-last", DataWires: 128, ChunkBits: 4},
+		{Scheme: "desc-adaptive", DataWires: 128, ChunkBits: 4},
+	}
 	t := stats.NewTable("Extension: skip-policy comparison (L2 energy normalized to binary)",
 		"Benchmark", "Zero Skipped", "Last Value Skipped", "Adaptive Skipped")
 	geos := make([][]float64, len(specs))

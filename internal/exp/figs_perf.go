@@ -10,23 +10,20 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:      "fig20",
-		Title:   "Figure 20: execution time by data communication scheme",
-		Demands: demandsAllSchemes,
-		Run:     runFig20,
+	registerSim(Experiment{
+		ID:    "fig20",
+		Title: "Figure 20: execution time by data communication scheme",
+		Run:   runFig20,
 	})
-	register(Experiment{
-		ID:      "fig21",
-		Title:   "Figure 21: average L2 hit delay, binary vs DESC",
-		Demands: demandsFig21,
-		Run:     runFig21,
+	registerSim(Experiment{
+		ID:    "fig21",
+		Title: "Figure 21: average L2 hit delay, binary vs DESC",
+		Run:   runFig21,
 	})
-	register(Experiment{
-		ID:      "fig30",
-		Title:   "Figure 30: out-of-order execution time (SPEC CPU2006)",
-		Demands: demandsFig30,
-		Run:     runFig30,
+	registerSim(Experiment{
+		ID:    "fig30",
+		Title: "Figure 30: out-of-order execution time (SPEC CPU2006)",
+		Run:   runFig30,
 	})
 }
 
@@ -62,27 +59,17 @@ func runFig20(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	return []*stats.Table{t}, nil
 }
 
-// fig21Specs are the four Figure 21 configurations: both schemes at both
-// bus widths.
-func fig21Specs() []SystemSpec {
-	return []SystemSpec{
-		{Scheme: "binary", DataWires: 64},
-		{Scheme: "binary", DataWires: 128},
-		{Scheme: "desc-zero", DataWires: 64, ChunkBits: 4},
-		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4},
-	}
-}
-
-func demandsFig21(opt Options) []Demand {
-	return demandsOver(opt.benchmarks(), fig21Specs()...)
-}
-
 // runFig21 reports the average L2 hit delay in cycles for binary and
 // zero-skipped DESC at 64- and 128-wire data buses (paper: DESC adds 31.2
 // cycles at 64 wires and 8.45 at 128).
 func runFig21(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	opt := r.Options()
-	specs := fig21Specs()
+	specs := []SystemSpec{
+		{Scheme: "binary", DataWires: 64},
+		{Scheme: "binary", DataWires: 128},
+		{Scheme: "desc-zero", DataWires: 64, ChunkBits: 4},
+		{Scheme: "desc-zero", DataWires: 128, ChunkBits: 4},
+	}
 	t := stats.NewTable("Figure 21: average L2 hit delay (cycles)",
 		"Benchmark", "64-bit Binary", "128-bit Binary", "64-bit DESC", "128-bit DESC")
 	sums := make([]float64, len(specs))
@@ -108,40 +95,21 @@ func runFig21(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	return []*stats.Table{t}, nil
 }
 
-// fig30Profiles returns the SPEC roster of the out-of-order study (a
-// prefix in Quick mode), and fig30Specs the binary/DESC pair on the
-// out-of-order core.
-func fig30Profiles(opt Options) []workload.Profile {
-	profiles := workload.SPEC()
-	if opt.Quick {
-		profiles = profiles[:3]
-	}
-	return profiles
-}
-
-func fig30Specs() (base, desc SystemSpec) {
-	base = BinaryBase()
-	base.Kind = cpusim.OutOfOrder
-	desc = DESCZero()
-	desc.Kind = cpusim.OutOfOrder
-	return
-}
-
-func demandsFig30(opt Options) []Demand {
-	base, desc := fig30Specs()
-	return demandsOver(fig30Profiles(opt), base, desc)
-}
-
-// runFig30 runs the eight SPEC CPU2006 profiles on the out-of-order core
-// and reports DESC execution time normalized to binary (paper: 6% average
-// slowdown — the latency-sensitive case).
+// runFig30 runs the eight SPEC CPU2006 profiles (the first three in
+// Quick mode) on the out-of-order core and reports DESC execution time
+// normalized to binary (paper: 6% average slowdown — the
+// latency-sensitive case).
 func runFig30(ctx context.Context, r *Runner) ([]*stats.Table, error) {
-	opt := r.Options()
 	t := stats.NewTable("Figure 30: OoO execution time with zero-skipped DESC (normalized to binary)",
 		"Benchmark", "Normalized time")
-	base, desc := fig30Specs()
+	base, desc := BinaryBase(), DESCZero()
+	base.Kind, desc.Kind = cpusim.OutOfOrder, cpusim.OutOfOrder
+	profiles := workload.SPEC()
+	if r.Options().Quick {
+		profiles = profiles[:3]
+	}
 	var vals []float64
-	for _, p := range fig30Profiles(opt) {
+	for _, p := range profiles {
 		b, err := r.RunOne(ctx, base, p)
 		if err != nil {
 			return nil, err

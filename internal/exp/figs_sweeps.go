@@ -9,42 +9,31 @@ import (
 )
 
 func init() {
-	register(Experiment{
-		ID:      "fig14",
-		Title:   "Figure 14: L2 design space over ITRS device classes",
-		Demands: demandsFig14,
-		Run:     runFig14,
+	registerSim(Experiment{
+		ID:    "fig14",
+		Title: "Figure 14: L2 design space over ITRS device classes",
+		Run:   runFig14,
 	})
-	register(Experiment{
-		ID:      "fig22",
-		Title:   "Figure 22: cache design space, binary vs DESC",
-		Demands: demandsFig22,
-		Run:     runFig22,
+	registerSim(Experiment{
+		ID:    "fig22",
+		Title: "Figure 22: cache design space, binary vs DESC",
+		Run:   runFig22,
 	})
-	register(Experiment{
-		ID:      "fig25",
-		Title:   "Figure 25: sensitivity to the number of banks",
-		Demands: demandsFig25,
-		Run:     runFig25,
+	registerSim(Experiment{
+		ID:    "fig25",
+		Title: "Figure 25: sensitivity to the number of banks",
+		Run:   runFig25,
 	})
-	register(Experiment{
-		ID:      "fig26",
-		Title:   "Figure 26: sensitivity to chunk size and bus width",
-		Demands: demandsFig26,
-		Run:     runFig26,
+	registerSim(Experiment{
+		ID:    "fig26",
+		Title: "Figure 26: sensitivity to chunk size and bus width",
+		Run:   runFig26,
 	})
-	register(Experiment{
-		ID:      "fig27",
-		Title:   "Figure 27: impact of L2 capacity on cache energy",
-		Demands: demandsFig27,
-		Run:     runFig27,
+	registerSim(Experiment{
+		ID:    "fig27",
+		Title: "Figure 27: impact of L2 capacity on cache energy",
+		Run:   runFig27,
 	})
-}
-
-// sweepDemands is the demand set of every sweepPoint-based figure: the
-// swept specs plus the binary reference, over the sweep benchmarks.
-func sweepDemands(opt Options, specs []SystemSpec) []Demand {
-	return demandsOver(opt.sweepBenchmarks(), append([]SystemSpec{BinaryBase()}, specs...)...)
 }
 
 // sweepPoint evaluates a spec over the sweep benchmarks and returns
@@ -78,40 +67,26 @@ func sweepPoint(ctx context.Context, r *Runner, spec SystemSpec) (l2, time, proc
 	return l2, time, proc, nil
 }
 
-// fig14Classes returns the device-class axis (restricted in Quick mode).
-func fig14Classes(opt Options) []wiremodel.DeviceClass {
-	if opt.Quick {
-		return []wiremodel.DeviceClass{wiremodel.HP, wiremodel.LSTP}
-	}
-	return wiremodel.DeviceClasses
-}
-
-// fig14Specs crosses cell and periphery device classes for the binary
-// baseline organization.
-func fig14Specs(opt Options) []SystemSpec {
-	var specs []SystemSpec
-	for _, cells := range fig14Classes(opt) {
-		for _, peri := range fig14Classes(opt) {
-			specs = append(specs, SystemSpec{Scheme: "binary", DataWires: 64, Cells: cells, Periphery: peri})
-		}
-	}
-	return specs
-}
-
-func demandsFig14(opt Options) []Demand { return sweepDemands(opt, fig14Specs(opt)) }
-
-// runFig14 explores cell/periphery device classes for the baseline binary
-// cache (paper: LSTP-LSTP with 8 banks and a 64-bit bus minimizes both L2
-// and processor energy at a ~2% execution time cost versus HP).
+// runFig14 crosses cell and periphery device classes (HP and LSTP only
+// in Quick mode) for the baseline binary cache (paper: LSTP-LSTP with 8
+// banks and a 64-bit bus minimizes both L2 and processor energy at a ~2%
+// execution time cost versus HP).
 func runFig14(ctx context.Context, r *Runner) ([]*stats.Table, error) {
+	classes := wiremodel.DeviceClasses
+	if r.Options().Quick {
+		classes = []wiremodel.DeviceClass{wiremodel.HP, wiremodel.LSTP}
+	}
 	t := stats.NewTable("Figure 14: device classes at 8 banks / 64-bit bus (normalized to LSTP-LSTP)",
 		"Cells-Periphery", "L2 energy", "Execution time", "Processor energy")
-	for _, spec := range fig14Specs(r.Options()) {
-		l2, tm, pr, err := sweepPoint(ctx, r, spec)
-		if err != nil {
-			return nil, err
+	for _, cells := range classes {
+		for _, peri := range classes {
+			spec := SystemSpec{Scheme: "binary", DataWires: 64, Cells: cells, Periphery: peri}
+			l2, tm, pr, err := sweepPoint(ctx, r, spec)
+			if err != nil {
+				return nil, err
+			}
+			t.AddRowValues(cells.String()+"-"+peri.String(), l2, tm, pr)
 		}
-		t.AddRowValues(spec.Cells.String()+"-"+spec.Periphery.String(), l2, tm, pr)
 	}
 	return []*stats.Table{t}, nil
 }
@@ -143,8 +118,6 @@ func fig22Specs(opt Options) []SystemSpec {
 	return specs
 }
 
-func demandsFig22(opt Options) []Demand { return sweepDemands(opt, fig22Specs(opt)) }
-
 // runFig22 scatters design points — bank count x bus width (and chunk
 // size for DESC) — in the energy/time plane (paper: DESC opens new
 // design points with higher energy efficiency at little latency cost).
@@ -166,57 +139,27 @@ func runFig22(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	return []*stats.Table{t}, nil
 }
 
-// fig25Specs sweeps the bank count for zero-skipped DESC.
-func fig25Specs(opt Options) []SystemSpec {
-	banks := []int{1, 2, 4, 8, 16, 32, 64}
-	if opt.Quick {
-		banks = []int{2, 8, 32}
-	}
-	var specs []SystemSpec
-	for _, b := range banks {
-		spec := DESCZero()
-		spec.Banks = b
-		specs = append(specs, spec)
-	}
-	return specs
-}
-
-func demandsFig25(opt Options) []Demand { return sweepDemands(opt, fig25Specs(opt)) }
-
 // runFig25 sweeps the bank count for zero-skipped DESC (paper: both L2
 // energy and execution time reach their best around 8 banks; beyond that
 // per-bank overheads grow).
 func runFig25(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 25: bank-count sensitivity (zero-skipped DESC, normalized to 8-bank binary)",
 		"Banks", "L2 energy", "Execution time")
-	for _, spec := range fig25Specs(r.Options()) {
+	banks := []int{1, 2, 4, 8, 16, 32, 64}
+	if r.Options().Quick {
+		banks = []int{2, 8, 32}
+	}
+	for _, b := range banks {
+		spec := DESCZero()
+		spec.Banks = b
 		l2, tm, _, err := sweepPoint(ctx, r, spec)
 		if err != nil {
 			return nil, err
 		}
-		t.AddRowValues(fmt.Sprint(spec.Banks), l2, tm)
+		t.AddRowValues(fmt.Sprint(b), l2, tm)
 	}
 	return []*stats.Table{t}, nil
 }
-
-// fig26Specs sweeps chunk size and bus width for zero-skipped DESC.
-func fig26Specs(opt Options) []SystemSpec {
-	chunkSizes := []int{1, 2, 4, 8}
-	widths := []int{32, 64, 128, 256}
-	if opt.Quick {
-		chunkSizes = []int{2, 4}
-		widths = []int{64, 128}
-	}
-	var specs []SystemSpec
-	for _, ck := range chunkSizes {
-		for _, w := range widths {
-			specs = append(specs, SystemSpec{Scheme: "desc-zero", DataWires: w, ChunkBits: ck})
-		}
-	}
-	return specs
-}
-
-func demandsFig26(opt Options) []Demand { return sweepDemands(opt, fig26Specs(opt)) }
 
 // runFig26 sweeps chunk size (1..8 bits) and bus width (32..256 wires)
 // for zero-skipped DESC (paper: 4-bit chunks with 128 wires give the best
@@ -224,32 +167,22 @@ func demandsFig26(opt Options) []Demand { return sweepDemands(opt, fig26Specs(op
 func runFig26(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	t := stats.NewTable("Figure 26: chunk-size / width sensitivity (zero-skipped DESC, normalized to binary)",
 		"Chunk bits", "Wires", "L2 energy", "Execution time", "Energy-delay")
-	for _, spec := range fig26Specs(r.Options()) {
-		l2, tm, _, err := sweepPoint(ctx, r, spec)
-		if err != nil {
-			return nil, err
+	chunkSizes := []int{1, 2, 4, 8}
+	widths := []int{32, 64, 128, 256}
+	if r.Options().Quick {
+		chunkSizes = []int{2, 4}
+		widths = []int{64, 128}
+	}
+	for _, ck := range chunkSizes {
+		for _, w := range widths {
+			l2, tm, _, err := sweepPoint(ctx, r, SystemSpec{Scheme: "desc-zero", DataWires: w, ChunkBits: ck})
+			if err != nil {
+				return nil, err
+			}
+			t.AddRowValues(fmt.Sprintf("%d", ck), float64(w), l2, tm, l2*tm)
 		}
-		t.AddRowValues(fmt.Sprintf("%d", spec.ChunkBits), float64(spec.DataWires), l2, tm, l2*tm)
 	}
 	return []*stats.Table{t}, nil
-}
-
-// fig27Caps returns the swept L2 capacities.
-func fig27Caps(opt Options) []int {
-	if opt.Quick {
-		return []int{1 << 20, 8 << 20, 32 << 20}
-	}
-	return []int{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20}
-}
-
-func demandsFig27(opt Options) []Demand {
-	var specs []SystemSpec
-	for _, c := range fig27Caps(opt) {
-		dSpec := DESCZero()
-		dSpec.CapacityBytes = c
-		specs = append(specs, SystemSpec{Scheme: "binary", DataWires: 64, CapacityBytes: c}, dSpec)
-	}
-	return sweepDemands(opt, specs)
 }
 
 // runFig27 sweeps the L2 capacity (paper: DESC improves cache energy by
@@ -258,7 +191,11 @@ func runFig27(ctx context.Context, r *Runner) ([]*stats.Table, error) {
 	opt := r.Options()
 	t := stats.NewTable("Figure 27: L2 capacity vs cache energy (normalized to 8MB binary)",
 		"Capacity", "Binary", "DESC", "Improvement")
-	for _, c := range fig27Caps(opt) {
+	caps := []int{512 << 10, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20}
+	if opt.Quick {
+		caps = []int{1 << 20, 8 << 20, 32 << 20}
+	}
+	for _, c := range caps {
 		var bins, descs []float64
 		for _, p := range opt.sweepBenchmarks() {
 			ref, err := r.RunOne(ctx, BinaryBase(), p)

@@ -17,8 +17,8 @@ import (
 	"desc/internal/workload"
 )
 
-// Demand is one (configuration, benchmark) run an experiment declares in
-// its planning phase.
+// Demand is one (configuration, benchmark) run in an experiment's demand
+// plan.
 type Demand struct {
 	Spec  SystemSpec
 	Bench string
@@ -88,6 +88,11 @@ type Runner struct {
 	// onBlocks, when non-nil, sees every block store Execute creates
 	// (a test hook).
 	onBlocks func(*workload.Blocks)
+
+	// plan, when non-nil, puts the Runner in recording mode (see
+	// recordRuns): RunOne appends each distinct run to it and returns
+	// placeholderResult instead of simulating.
+	plan *[]Demand
 
 	mu    sync.Mutex
 	calls map[runKey]*call
@@ -216,6 +221,12 @@ func (r *Runner) key(spec SystemSpec, bench string) runKey {
 // underlying simulation. A simulation RunOne starts reads blocks through
 // a fresh store.
 func (r *Runner) RunOne(ctx context.Context, spec SystemSpec, prof workload.Profile) (RunResult, error) {
+	if r.plan != nil {
+		if d := (Demand{Spec: spec, Bench: prof.Name}); !slices.Contains(*r.plan, d) {
+			*r.plan = append(*r.plan, d)
+		}
+		return placeholderResult, nil
+	}
 	key := r.key(spec, prof.Name)
 	c, owner := r.claim(key)
 	if !owner {
@@ -471,9 +482,34 @@ func (r *Runner) dispatch(ctx context.Context, jobs []job) {
 	wg.Wait()
 }
 
-// Run plans and renders one experiment: its declared demand set executes
-// on the worker pool first, then the experiment's Run phase renders
-// tables from the warmed cache.
+// placeholderResult is what RunOne returns in recording mode. Its
+// cycles, hit latency and energy components are all 1, so every ratio
+// and geomean a Run phase takes of it is positive and the Run reaches
+// its end.
+var placeholderResult = RunResult{
+	Cycles: 1,
+	AvgHit: 1,
+	Breakdown: energy.Breakdown{
+		CoreDynJ: 1, L1DynJ: 1, CoreStaticJ: 1,
+		L2HTreeJ: 1, L2ArrayJ: 1, L2StaticJ: 1, DRAMJ: 1,
+	},
+}
+
+// recordRuns returns the distinct runs that run asks r.RunOne for, in
+// the order it first asks for them, and switches r to recording mode for
+// good: r claims, caches, simulates and observes nothing. A Run that
+// fails while recording keeps the runs recorded so far; the real Run
+// reports the error.
+func recordRuns(r *Runner, run func(context.Context, *Runner) ([]*stats.Table, error)) []Demand {
+	var plan []Demand
+	r.plan = &plan
+	_, _ = run(context.Background(), r)
+	return plan
+}
+
+// Run plans and renders one experiment: its demand plan executes on the
+// worker pool first, then the experiment's Run phase renders tables from
+// the warmed cache.
 func (r *Runner) Run(ctx context.Context, e Experiment) ([]*stats.Table, error) {
 	if e.Demands != nil {
 		if err := r.Execute(ctx, e.Demands(r.opt)); err != nil {
@@ -541,16 +577,4 @@ func simulate(ctx context.Context, spec SystemSpec, prof workload.Profile, opt O
 		AreaMM2:   h.Model().AreaMM2(),
 		LeakageW:  h.Model().LeakageW(),
 	}, nil
-}
-
-// demandsOver crosses specs with profiles: the standard demand-set shape
-// of experiments that evaluate a spec list over a benchmark list.
-func demandsOver(profiles []workload.Profile, specs ...SystemSpec) []Demand {
-	out := make([]Demand, 0, len(profiles)*len(specs))
-	for _, p := range profiles {
-		for _, s := range specs {
-			out = append(out, Demand{Spec: s, Bench: p.Name})
-		}
-	}
-	return out
 }

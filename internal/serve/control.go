@@ -29,10 +29,13 @@ type experimentRequest struct {
 }
 
 // event is one newline-delimited JSON line of the experiment stream.
-// Progress events (planned, run_started, run_done) are hints whose
-// arrival order follows the worker pool; because concurrent requests for
-// the same experiment and options share one Runner (and its Fanout), a
-// stream also carries run events triggered by its neighbors' overlapping
+// planned's total counts the distinct runs in the experiment's plan, so
+// a lone request on a fresh server sees exactly that many run_done
+// events; runs an earlier request already cached send none. Progress
+// events (planned, run_started, run_done) are hints whose arrival order
+// follows the worker pool; because concurrent requests for the same
+// experiment and options share one Runner (and its Fanout), a stream
+// also carries run events triggered by its neighbors' overlapping
 // demands, so run_started/run_done counts may exceed planned's total.
 // The terminal result (or error) event is per-request and is the
 // authoritative, deterministic payload.
@@ -78,10 +81,10 @@ type streamObserver struct {
 	mu    sync.Mutex
 	w     http.ResponseWriter
 	flush http.Flusher // nil when the writer cannot flush
-	// want filters broadcast events to the demands this request's
-	// experiment declared. The filter scopes a stream to its own
+	// want filters broadcast events to the demands in this request's
+	// experiment's plan. The filter scopes a stream to its own
 	// experiment, not to its own request: two concurrent requests for
-	// the same experiment and options share a Runner and declare the
+	// the same experiment and options share a Runner and plan the
 	// same demand set, so each also sees run events the other's Run
 	// triggered — documented on event (progress is a hint; the terminal
 	// event is authoritative).

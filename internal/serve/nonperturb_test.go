@@ -147,3 +147,46 @@ func TestServeExperimentsMatchDirect(t *testing.T) {
 		assertIdentical(results[i], fmt.Sprintf("concurrent client %d", i))
 	}
 }
+
+// TestExperimentPlannedMatchesRuns: on a fresh server, a lone request's
+// planned total is the number of distinct runs its experiment
+// simulates, so it equals the run_done events that follow. fig14's
+// LSTP-LSTP point is the binary baseline itself, and ext-zoo's registry
+// roster includes binary too: a plan that counted such a run twice would
+// promise more runs than the stream delivers.
+func TestExperimentPlannedMatchesRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment run skipped in -short mode")
+	}
+	for _, id := range []string{"fig14", "ext-zoo"} {
+		s := New(Config{})
+		body := []byte(fmt.Sprintf(`{"id":%q,"quick":true,"seed":1,"instr":400}`, id))
+		rec := do(t, s, http.MethodPost, "/v1/experiments", "application/json", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d; body: %s", id, rec.Code, rec.Body.String())
+		}
+		planned, done := -1, 0
+		sc := bufio.NewScanner(bytes.NewReader(rec.Body.Bytes()))
+		sc.Buffer(make([]byte, 1<<20), 1<<24)
+		for sc.Scan() {
+			var ev event
+			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+				t.Fatalf("%s: stream line does not parse: %v; line: %q", id, err, sc.Text())
+			}
+			switch ev.Event {
+			case "planned":
+				planned = ev.Total
+			case "run_done":
+				done++
+			case "error":
+				t.Fatalf("%s: stream carries an error event: %s", id, ev.Error)
+			}
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatalf("%s: scan stream: %v", id, err)
+		}
+		if planned <= 0 || planned != done {
+			t.Errorf("%s: planned total %d, but the stream sent %d run_done events", id, planned, done)
+		}
+	}
+}
